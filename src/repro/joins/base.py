@@ -18,7 +18,7 @@ two-bit relation flags ('10' = A, '01' = B, '11' = both, §V-C).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .. import constants
 from ..codec.quadtree import FlaggedPoint, QuadtreeCodec
@@ -38,6 +38,7 @@ __all__ = [
     "JoinOutcome",
     "JoinAlgorithm",
     "node_tuple",
+    "evaluate_records",
     "oracle_result",
 ]
 
@@ -163,6 +164,23 @@ def node_tuple(
             f"node {node_id} lacks reading {missing}; was a snapshot taken?"
         ) from None
     return FullTupleRecord(node_id, flags, values), flags
+
+
+def evaluate_records(
+    query: JoinQuery, fmt: TupleFormat, records: Iterable[FullTupleRecord]
+) -> JoinResult:
+    """The exact join of ``query`` over complete tuples at one location.
+
+    Each record serves every alias its flags name.  Selections were applied
+    where the tuples were acquired, hence ``apply_selections=False``.
+    ``fmt`` may be another query's format when both agree on aliases and
+    flag bits (the members of a broker share group).
+    """
+    tuples_by_alias: Dict[str, List[Row]] = {alias: [] for alias in fmt.aliases}
+    for record in records:
+        for alias in fmt.aliases_of_flags(record.flags):
+            tuples_by_alias[alias].append(Row(record.node_id, dict(record.values)))
+    return evaluate_join(query, tuples_by_alias, apply_selections=False)
 
 
 def oracle_result(context: "ExecutionContext") -> JoinResult:

@@ -7,7 +7,9 @@ in the event-driven style of the paper's Fig. 1: every node is a kernel
 process that sleeps between phases, waits for its children's messages,
 applies the Fig. 2/3 logic, and sends.  Nothing here shares protocol code
 with the fast path (only the codec, the quantizer and the filter builder are
-reused — they define the wire format, not the protocol).
+reused — they define the wire format, not the protocol).  It therefore
+stays separate from the one synchronous protocol implementation that the
+snapshot engine, the incremental executor and the broker share.
 
 Purpose: equivalence testing.  ``tests/test_joins_des.py`` asserts that for
 the paper's default configuration the DES engine produces *identical*
@@ -25,7 +27,7 @@ and loss bursts at simulated times on the shared kernel.  A send over a
 dead link spends its ARQ budget and delivers nothing, so the message never
 arrives, the waiting ancestors starve, and the protocol stalls.  The base
 station detects the stall (the simulation goes quiet, backstopped by a
-per-phase wall-clock budget), emits a ``phase-timeout`` trace event,
+per-phase simulated-time budget), emits a ``phase-timeout`` trace event,
 interrupts the surviving processes, lets CTP repair the tree
 (``tree-repair``), waits out a backoff, and re-executes the query on the
 same kernel timeline — so every aborted attempt's partially spent
@@ -42,7 +44,7 @@ subtrees, and full tuples lost because their Treecut proxy died.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, FrozenSet, List, Optional
+from typing import Dict, FrozenSet, List, Optional
 
 from .. import constants
 from ..codec.quadtree import FlaggedPoint
@@ -77,7 +79,7 @@ __all__ = ["DesSensJoin", "RecoveryPolicy"]
 class RecoveryPolicy:
     """Timeout/retry semantics of the §IV-F recovery loop.
 
-    ``phase_timeout_s`` is the base station's per-phase wall-clock budget
+    ``phase_timeout_s`` is the base station's per-phase simulated-time budget
     (the watchdog backstop; the primary stall signal is the simulation
     going quiet).  ``None`` derives a generous budget from the tree size.
     After an abort the re-execution starts ``backoff_s`` later, doubling
@@ -179,9 +181,6 @@ class DesSensJoin(JoinAlgorithm):
         tracer: Optional[Tracer] = None,
         repair_seed: int = 0,
         telemetry: Optional[Telemetry] = None,
-        filter_override: Optional[
-            Callable[[TupleFormat, FrozenSet[FlaggedPoint]], FrozenSet[FlaggedPoint]]
-        ] = None,
         sampler: Optional[MetricsSampler] = None,
     ):
         self.fault_plan = fault_plan
@@ -198,18 +197,6 @@ class DesSensJoin(JoinAlgorithm):
         else:
             self.tracer = None
         self.repair_seed = repair_seed
-        #: Same work-sharing hook as :class:`~repro.joins.sensjoin.SensJoin`:
-        #: replaces the base station's ``build_join_filter`` call; must
-        #: return a superset of the single-query filter (conservative
-        #: semantics keep the exact final join correct under supersets).
-        self.filter_override = filter_override
-
-    def _build_filter(
-        self, fmt: TupleFormat, points: FrozenSet[FlaggedPoint]
-    ) -> FrozenSet[FlaggedPoint]:
-        if self.filter_override is not None:
-            return self.filter_override(fmt, points)
-        return build_join_filter(fmt, points)
 
     def instrument(self, telemetry: Telemetry) -> None:
         """Attach a live telemetry (spans under the kernel clock)."""
@@ -496,7 +483,7 @@ class DesSensJoin(JoinAlgorithm):
 
     @staticmethod
     def _phase_budget(tree: RoutingTree) -> float:
-        """Wall-clock backstop per phase; stalls are usually caught earlier
+        """Simulated-time backstop per phase; stalls are usually caught earlier
         (the event queue drains the moment nothing can make progress)."""
         return (
             max(10.0, 0.1 * len(tree.node_ids))
@@ -676,7 +663,7 @@ class DesSensJoin(JoinAlgorithm):
                 points = union_points(
                     points, [(proxied.flags, fmt.quantizer.encode(join_values))]
                 )
-            join_filter = self._build_filter(fmt, points)
+            join_filter = build_join_filter(fmt, points)
             details["filter_points"] = float(len(join_filter))
             awake = [child for child in children if not exited[child]]
             subtree = mailbox.points

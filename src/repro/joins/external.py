@@ -17,13 +17,13 @@ from __future__ import annotations
 
 from typing import Dict, List
 
-from ..query.evaluate import Row, evaluate_join
 from ..sim.node import BASE_STATION_ID
 from .base import (
     ExecutionContext,
     FullTupleRecord,
     JoinAlgorithm,
     JoinOutcome,
+    evaluate_records,
     node_tuple,
 )
 
@@ -72,11 +72,7 @@ class ExternalJoin(JoinAlgorithm):
             finish_time[node_id] = children_finish + channel.last_send_latency_s
 
         arrived = carried_records[BASE_STATION_ID]
-        tuples_by_alias: Dict[str, List[Row]] = {alias: [] for alias in fmt.aliases}
-        for record in arrived:
-            for alias in fmt.aliases_of_flags(record.flags):
-                tuples_by_alias[alias].append(Row(record.node_id, dict(record.values)))
-        result = evaluate_join(context.query, tuples_by_alias, apply_selections=False)
+        result = evaluate_records(context.query, fmt, arrived)
 
         # One epoch-scheduled collection pass (TAG-style level slots) plus
         # the serialisation overflow along the critical path.

@@ -9,21 +9,25 @@ points barely change between rounds when the physical fields drift slowly —
 a reading must cross a quantization-cell boundary before its point moves.
 The pre-computation can therefore be made incremental:
 
-* **Delta collection.**  Every non-exited node remembers, per child, the
-  point set that child last reported, plus the set it last sent upward.
-  Each round it reconstructs its current subtree set and transmits only the
+* **Delta collection.**  Every node remembers, per child, the point set
+  that child last reported, plus the set it last sent upward.  Each round
+  it reconstructs its current subtree set and transmits only the
   *difference* (added / removed flagged points, each quadtree-encoded, plus
   a one-byte header) — or the full set when that happens to be smaller
-  (always true in round 0).  Nodes in Treecut regions still ship their
-  complete tuples every round: their payloads are below ``D_max`` anyway
-  and the proxy needs the fresh values.
+  (always true in round 0).
 * **Filter-change suppression.**  A node re-broadcasts the pruned filter to
   its children only when it differs from what it broadcast last round;
   silence means "reuse the cached filter" (the phases are globally
   scheduled, so silence is unambiguous).
 * **Final phase unchanged.**  Result tuples must flow every round — the
   raw values drift even when the quantized points do not — so step 2 runs
-  exactly as in the snapshot protocol.
+  through the snapshot protocol's :meth:`SensJoin._final_phase`.
+
+Treecut is off.  It optimises one-shot executions: it trades
+join-attribute messages near the leaves for complete tuples.  Under
+temporal suppression that trade inverts — cut regions would have to ship
+their complete tuples *every round*, while an uncut leaf whose quantized
+point is unchanged sends nothing at all.
 
 Every round's result is still exactly the external join of that round's
 snapshot (the same conservative-filter argument as for the snapshot
@@ -39,19 +43,27 @@ per-round outcome reports the worst per-node cache size
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import Dict, FrozenSet, Optional, Tuple
 
+from .. import constants
 from ..codec.quadtree import FlaggedPoint
-from ..codec.setops import union_points
+from ..codec.setops import intersect_points, union_points
 from ..data.relations import SensorWorld
 from ..query.query import JoinQuery
 from ..routing.ctp import build_tree
 from ..routing.tree import RoutingTree
 from ..sim.network import Network
 from ..sim.node import BASE_STATION_ID
-from .base import FullTupleRecord, JoinOutcome, TupleFormat, node_tuple
+from .base import ExecutionContext, JoinOutcome, TupleFormat, evaluate_records, node_tuple
 from .filterbuild import build_join_filter
-from .sensjoin import PHASE_COLLECTION, PHASE_FILTER, PHASE_FINAL, SensJoin, SensJoinConfig
+from .sensjoin import (
+    PHASE_COLLECTION,
+    PHASE_FILTER,
+    NodeState,
+    SensJoin,
+    SensJoinConfig,
+    join_point,
+)
 
 __all__ = ["IncrementalSensJoin", "DELTA_HEADER_BYTES"]
 
@@ -61,12 +73,11 @@ DELTA_HEADER_BYTES = 1
 
 @dataclass
 class _NodeCache:
-    """Cross-round memory of one non-exited node."""
+    """Cross-round memory of one node."""
 
     child_sets: Dict[int, FrozenSet[FlaggedPoint]] = field(default_factory=dict)
     last_sent: FrozenSet[FlaggedPoint] = frozenset()
     last_filter_broadcast: Optional[FrozenSet[FlaggedPoint]] = None
-    exited: bool = False
 
     def size_bytes(self, fmt: TupleFormat) -> int:
         """Approximate memory held for the incremental bookkeeping."""
@@ -92,26 +103,15 @@ class IncrementalSensJoin:
         network: Network,
         world: SensorWorld,
         query: JoinQuery,
-        config: Optional[SensJoinConfig] = None,
         tree: Optional[RoutingTree] = None,
         tree_seed: int = 0,
     ):
-        if config is None:
-            # Treecut optimises one-shot executions: it trades join-attribute
-            # messages near the leaves for complete tuples.  Under temporal
-            # suppression that trade inverts — cut regions would have to ship
-            # their complete tuples *every round*, while an uncut leaf whose
-            # quantized point is unchanged sends nothing at all.  The
-            # incremental executor therefore disables Treecut by default.
-            config = SensJoinConfig(dmax_bytes=0)
-        if config.representation != "quadtree":
-            raise ValueError("the incremental executor requires the quadtree representation")
         self.network = network
         self.world = world
         self.query = query
-        self.config = config
         self.tree = tree if tree is not None else build_tree(network, seed=tree_seed)
         self.fmt = TupleFormat(query, world)
+        self._engine = SensJoin(SensJoinConfig(dmax_bytes=0))
         self.caches: Dict[int, _NodeCache] = {
             node_id: _NodeCache() for node_id in self.tree.node_ids
         }
@@ -125,36 +125,34 @@ class IncrementalSensJoin:
         network.reset_accounting()
         self.world.take_snapshot(snapshot_time)
         details: Dict[str, float] = {"round": float(self.round_index)}
+        states = {node_id: NodeState() for node_id in tree.node_ids}
 
-        records, own_points, proxy_map = self._collection_phase(details)
+        self._collection_phase(states, details)
 
-        bs_cache = self.caches[BASE_STATION_ID]
         bs_points: FrozenSet[FlaggedPoint] = frozenset()
-        for points in bs_cache.child_sets.values():
+        for points in self.caches[BASE_STATION_ID].child_sets.values():
             bs_points = union_points(bs_points, points)
-        bs_points = union_points(bs_points, self._project(proxy_map[BASE_STATION_ID]))
-
         join_filter = build_join_filter(fmt, bs_points)
         details["filter_points"] = float(len(join_filter))
 
-        filter_at = self._filter_phase(join_filter, details)
+        self._filter_phase(states, join_filter, details)
 
-        outcome = self._final_phase(records, own_points, proxy_map, filter_at, details)
+        context = ExecutionContext(network, tree, self.world, self.query)
+        arrived, _finish = self._engine._final_phase(context, fmt, states, details)
+        result = evaluate_records(self.query, fmt, arrived)
         details["cache_bytes_max"] = float(
             max(cache.size_bytes(fmt) for cache in self.caches.values())
         )
-        outcome.details.update(details)
         self.round_index += 1
-        return outcome
+        return JoinOutcome(
+            algorithm="sens-join[incremental]",
+            result=result,
+            stats=network.stats,
+            response_time_s=3 * tree.height * constants.DEFAULT_LEVEL_SLOT_S,
+            details=details,
+        )
 
     # -- phase 1a: delta collection --------------------------------------------------
-
-    def _project(self, records: List[FullTupleRecord]) -> FrozenSet[FlaggedPoint]:
-        points: FrozenSet[FlaggedPoint] = frozenset()
-        for record in records:
-            join_values = {k: record.values[k] for k in self.fmt.join_attributes}
-            points = union_points(points, [(record.flags, self.fmt.quantizer.encode(join_values))])
-        return points
 
     def _payload_bytes(
         self, current: FrozenSet[FlaggedPoint], previous: FrozenSet[FlaggedPoint]
@@ -176,70 +174,28 @@ class IncrementalSensJoin:
             return delta, "delta"
         return full, "full"
 
-    def _collection_phase(self, details: Dict[str, float]):
-        network, tree, fmt = self.network, self.tree, self.fmt
-        channel = network.channel
-        first_round = self.round_index == 0
-        treecut_enabled = self.config.dmax_bytes > 0
-
-        records: Dict[int, Optional[FullTupleRecord]] = {}
-        own_points: Dict[int, Optional[FlaggedPoint]] = {}
-        proxy_map: Dict[int, List[FullTupleRecord]] = {}
-        full_up: Dict[int, List[FullTupleRecord]] = {}
-        full_bytes_up: Dict[int, int] = {}
+    def _collection_phase(
+        self, states: Dict[int, NodeState], details: Dict[str, float]
+    ) -> None:
+        tree, fmt = self.tree, self.fmt
+        channel = self.network.channel
         delta_messages = 0
         unchanged_subtrees = 0
 
         for node_id in tree.post_order():
-            cache = self.caches[node_id]
-            children = tree.children(node_id)
-
-            received_full: List[FullTupleRecord] = []
-            received_full_bytes = 0
-            all_children_full = True
-            for child in children:
-                if self.caches[child].exited:
-                    received_full.extend(full_up.pop(child, []))
-                    received_full_bytes += full_bytes_up.pop(child, 0)
-                else:
-                    all_children_full = False
-
-            record, flags = node_tuple(fmt, node_id)
-            records[node_id] = record
-            own_points[node_id] = (
-                (flags, fmt.quantizer.encode({k: record.values[k] for k in fmt.join_attributes}))
-                if record is not None
-                else None
-            )
-            own_bytes = fmt.full_tuple_bytes if record is not None else 0
-
+            state = states[node_id]
+            state.record, _flags = node_tuple(fmt, node_id)
+            if state.record is not None:
+                state.own_point = join_point(fmt, state.record)
             if node_id == BASE_STATION_ID:
-                proxy_map[node_id] = received_full
                 continue
 
-            # Treecut membership is decided in round 0 and frozen: the byte
-            # volumes it depends on are constant across rounds.
-            if first_round:
-                cache.exited = (
-                    treecut_enabled
-                    and all_children_full
-                    and received_full_bytes + own_bytes <= self.config.dmax_bytes
-                )
-            if cache.exited:
-                payload_records = received_full + ([record] if record else [])
-                payload_bytes = fmt.full_tuples_bytes(len(payload_records))
-                channel.unicast(node_id, tree.parent(node_id), payload_bytes, PHASE_COLLECTION)
-                full_up[node_id] = payload_records
-                full_bytes_up[node_id] = payload_bytes
-                continue
-
-            proxy_map[node_id] = received_full
+            cache = self.caches[node_id]
             current: FrozenSet[FlaggedPoint] = frozenset()
             for points in cache.child_sets.values():
                 current = union_points(current, points)
-            current = union_points(current, self._project(received_full))
-            if own_points[node_id] is not None:
-                current = union_points(current, [own_points[node_id]])
+            if state.own_point is not None:
+                current = union_points(current, [state.own_point])
 
             payload_bytes, kind = self._payload_bytes(current, cache.last_sent)
             if kind == "unchanged":
@@ -248,123 +204,47 @@ class IncrementalSensJoin:
                 delta_messages += 1
             channel.unicast(node_id, tree.parent(node_id), payload_bytes, PHASE_COLLECTION)
             cache.last_sent = current
-            parent_cache = self.caches[tree.parent(node_id)]
-            parent_cache.child_sets[node_id] = current
+            self.caches[tree.parent(node_id)].child_sets[node_id] = current
 
         details["collection_delta_messages"] = float(delta_messages)
         details["collection_unchanged_subtrees"] = float(unchanged_subtrees)
-        return records, own_points, proxy_map
 
     # -- phase 1b: filter with change suppression -------------------------------------
 
-    def _filter_phase(self, join_filter, details):
-        from ..codec.setops import intersect_points
-
-        network, tree = self.network, self.tree
-        channel = network.channel
-        filter_at: Dict[int, FrozenSet[FlaggedPoint]] = {BASE_STATION_ID: join_filter}
+    def _filter_phase(
+        self,
+        states: Dict[int, NodeState],
+        join_filter: FrozenSet[FlaggedPoint],
+        details: Dict[str, float],
+    ) -> None:
+        tree = self.tree
+        channel = self.network.channel
+        states[BASE_STATION_ID].filter_received = join_filter
         broadcasts = 0
         suppressed = 0
 
         for node_id in tree.pre_order():
+            children = list(tree.children(node_id))
+            if not children:
+                continue
             cache = self.caches[node_id]
-            if cache.exited:
-                continue
-            incoming = filter_at.get(node_id)
-            awake_children = [
-                child for child in tree.children(node_id) if not self.caches[child].exited
-            ]
-            if not awake_children:
-                continue
-            if incoming is None:
-                incoming = frozenset()
+            incoming = states[node_id].filter_received or frozenset()
             subtree_points: FrozenSet[FlaggedPoint] = frozenset()
             for points in cache.child_sets.values():
                 subtree_points = union_points(subtree_points, points)
             subtree_filter = intersect_points(incoming, subtree_points)
+            for child in children:
+                states[child].filter_received = subtree_filter
             if subtree_filter == (cache.last_filter_broadcast or frozenset()):
                 # Unchanged since last round: children reuse their cache.
                 suppressed += 1
-                for child in awake_children:
-                    filter_at[child] = subtree_filter
                 continue
             cache.last_filter_broadcast = subtree_filter
-            for child in awake_children:
-                filter_at[child] = subtree_filter
             if subtree_filter:
                 payload = DELTA_HEADER_BYTES + self.fmt.encoded_points_bytes(subtree_filter)
             else:
                 payload = DELTA_HEADER_BYTES  # explicit "filter now empty"
-            channel.broadcast(node_id, awake_children, payload, PHASE_FILTER)
+            channel.broadcast(node_id, children, payload, PHASE_FILTER)
             broadcasts += 1
         details["filter_broadcasts"] = float(broadcasts)
         details["filter_suppressed"] = float(suppressed)
-        return filter_at
-
-    # -- phase 2: unchanged ----------------------------------------------------------
-
-    def _final_phase(self, records, own_points, proxy_map, filter_at, details):
-        from ..query.evaluate import Row, evaluate_join
-
-        network, tree, fmt = self.network, self.tree, self.fmt
-        channel = network.channel
-        carried: Dict[int, List[FullTupleRecord]] = {}
-        carried_bytes: Dict[int, int] = {}
-
-        for node_id in tree.post_order():
-            cache = self.caches[node_id]
-            if cache.exited:
-                continue
-            payload = 0
-            collected: List[FullTupleRecord] = []
-            for child in tree.children(node_id):
-                if self.caches[child].exited:
-                    continue
-                payload += carried_bytes.pop(child, 0)
-                collected.extend(carried.pop(child, []))
-
-            if node_id == BASE_STATION_ID:
-                collected.extend(proxy_map[node_id])
-                carried[node_id] = collected
-                continue
-
-            incoming = filter_at.get(node_id) or frozenset()
-            filter_flags: Dict[int, int] = {}
-            for flags, z in incoming:
-                filter_flags[z] = filter_flags.get(z, 0) | flags
-            matched: List[FullTupleRecord] = []
-            record = records[node_id]
-            own_point = own_points[node_id]
-            if record is not None and own_point is not None:
-                if filter_flags.get(own_point[1], 0) & own_point[0]:
-                    matched.append(record)
-            for proxied in proxy_map.get(node_id, []):
-                join_values = {k: proxied.values[k] for k in fmt.join_attributes}
-                z = fmt.quantizer.encode(join_values)
-                if filter_flags.get(z, 0) & proxied.flags:
-                    matched.append(proxied)
-            collected.extend(matched)
-            payload += fmt.full_tuples_bytes(len(matched))
-            channel.unicast(node_id, tree.parent(node_id), payload, PHASE_FINAL)
-            carried[node_id] = collected
-            carried_bytes[node_id] = payload
-
-        arrived = carried[BASE_STATION_ID]
-        tuples_by_alias: Dict[str, List[Row]] = {alias: [] for alias in fmt.aliases}
-        for record in arrived:
-            for alias in fmt.aliases_of_flags(record.flags):
-                tuples_by_alias[alias].append(Row(record.node_id, dict(record.values)))
-        result = evaluate_join(self.query, tuples_by_alias, apply_selections=False)
-        details["final_tuples_shipped"] = float(len(arrived))
-
-        height = tree.height
-        from .. import constants
-
-        response = 3 * height * constants.DEFAULT_LEVEL_SLOT_S
-        return JoinOutcome(
-            algorithm="sens-join[incremental]",
-            result=result,
-            stats=network.stats,
-            response_time_s=response,
-            details={},
-        )

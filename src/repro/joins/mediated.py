@@ -25,7 +25,6 @@ from collections import deque
 from typing import Dict, List, Optional
 
 from ..errors import ProtocolError
-from ..query.evaluate import Row, evaluate_join
 from ..routing.tree import RoutingTree
 from ..sim.node import BASE_STATION_ID
 from .base import (
@@ -33,6 +32,7 @@ from .base import (
     FullTupleRecord,
     JoinAlgorithm,
     JoinOutcome,
+    evaluate_records,
     node_tuple,
 )
 
@@ -74,8 +74,7 @@ class MediatedJoin(JoinAlgorithm):
             if record is not None:
                 records[node_id] = record
         if not records:
-            result = evaluate_join(context.query, {a: [] for a in fmt.aliases},
-                                   apply_selections=False)
+            result = evaluate_records(context.query, fmt, [])
             return JoinOutcome(self.name, result, network.stats, 0.0, {})
 
         # Mediator: contributing node nearest the contributors' centroid.
@@ -99,11 +98,7 @@ class MediatedJoin(JoinAlgorithm):
             carried[node_id] = payload
 
         # The mediator joins.
-        tuples_by_alias: Dict[str, List[Row]] = {alias: [] for alias in fmt.aliases}
-        for record in records.values():
-            for alias in fmt.aliases_of_flags(record.flags):
-                tuples_by_alias[alias].append(Row(record.node_id, dict(record.values)))
-        result = evaluate_join(context.query, tuples_by_alias, apply_selections=False)
+        result = evaluate_records(context.query, fmt, records.values())
 
         # Ship the result rows to the base station along the min-hop path.
         row_bytes = len(context.query.select) * fmt.bytes_per_attribute

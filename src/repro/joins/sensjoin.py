@@ -31,13 +31,19 @@ Knobs (all default to the paper's values) support the ablation studies:
 (Selective-Filter-Forwarding memory; 0 disables pruning), and
 ``representation`` (``"quadtree"`` | ``"raw"`` | ``"zlib"`` | ``"bzip2"`` —
 the Fig. 16 / §VI-B comparisons).
+
+The phase methods below are the only synchronous implementation of the
+protocol: :class:`~repro.joins.incremental.IncrementalSensJoin` runs step 2
+through :meth:`SensJoin._final_phase`, and the multi-query broker runs step
+1a per share group and step 1b for all its groups on one
+:meth:`SensJoin._filter_phase` wave.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from .. import constants
 from ..codec.compression import compressed_size, encode_raw_tuples
@@ -45,13 +51,17 @@ from ..codec.quadtree import FlaggedPoint
 from ..codec.setops import intersect_points, union_points
 from ..errors import ProtocolError
 from ..obs.telemetry import NULL_TELEMETRY, Telemetry
-from ..query.evaluate import Row, evaluate_join
+# evaluate_join is bound here by name although the base station evaluates
+# through evaluate_records: perfbench/tracing.py patches every module
+# binding of it, and perfbench/test_perfbench.py checks this one.
+from ..query.evaluate import evaluate_join  # noqa: F401
+from ..routing.dissemination import PIGGYBACK_HEADER_BYTES
 from ..sim.node import BASE_STATION_ID
 from ..sim.trace import (
     FILTER_BROADCAST,
+    FILTER_PIGGYBACK,
     FILTER_PRUNED,
     FINAL_SEND,
-    NullTracer,
     PROXY_STORE,
     SEND_JOIN_ATTS,
     SUBTREE_OVERFLOW,
@@ -65,11 +75,20 @@ from .base import (
     JoinAlgorithm,
     JoinOutcome,
     TupleFormat,
+    evaluate_records,
     node_tuple,
 )
 from .filterbuild import build_join_filter
 
-__all__ = ["SensJoin", "SensJoinConfig", "PHASE_COLLECTION", "PHASE_FILTER", "PHASE_FINAL"]
+__all__ = [
+    "SensJoin",
+    "SensJoinConfig",
+    "NodeState",
+    "join_point",
+    "PHASE_COLLECTION",
+    "PHASE_FILTER",
+    "PHASE_FINAL",
+]
 
 PHASE_COLLECTION = "join-attribute-collection"
 PHASE_FILTER = "filter-dissemination"
@@ -106,7 +125,7 @@ class _JoinAttrPayload:
 
 
 @dataclass
-class _NodeState:
+class NodeState:
     """Per-node protocol state surviving between the three wakeups."""
 
     record: Optional[FullTupleRecord] = None
@@ -119,6 +138,18 @@ class _NodeState:
     filter_arrival: float = 0.0
 
 
+#: One share group on a filter wave: its wire format, its per-node states
+#: (the base station's ``filter_received`` holds the group's join filter)
+#: and the details dict its wave counters go to.
+FilterGroup = Tuple[TupleFormat, Dict[int, NodeState], Dict[str, float]]
+
+
+def join_point(fmt: TupleFormat, record: FullTupleRecord) -> FlaggedPoint:
+    """pi_JoinAttr of one complete tuple: its alias flags and quantized cell."""
+    join_values = {name: record.values[name] for name in fmt.join_attributes}
+    return record.flags, fmt.quantizer.encode(join_values)
+
+
 class SensJoin(JoinAlgorithm):
     """The SENS-Join protocol (see module docstring)."""
 
@@ -129,9 +160,6 @@ class SensJoin(JoinAlgorithm):
         config: SensJoinConfig = SensJoinConfig(),
         tracer: Optional[Tracer] = None,
         telemetry: Optional[Telemetry] = None,
-        filter_override: Optional[
-            Callable[[TupleFormat, FrozenSet[FlaggedPoint]], FrozenSet[FlaggedPoint]]
-        ] = None,
     ):
         self.config = config
         self.telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
@@ -139,18 +167,6 @@ class SensJoin(JoinAlgorithm):
             self.tracer = tracer
         else:
             self.tracer = self.telemetry.tracer
-        #: Filter-reuse hook (multi-query work sharing): called with
-        #: ``(fmt, collected_points)`` in place of ``build_join_filter``.
-        #: The returned set must be a *superset* of the single-query filter
-        #: — conservative semantics keep the final join exact under any
-        #: superset, which is what lets a broker disseminate one composed
-        #: filter on behalf of several queries.
-        self.filter_override = filter_override
-        #: The complete tuples that reached the base station in step 2 of
-        #: the most recent :meth:`execute` (set by ``_final_phase``).  A
-        #: multi-query broker re-evaluates each member query exactly over
-        #: this one arrived set.
-        self.last_arrived_records: List[FullTupleRecord] = []
         if config.representation != "quadtree":
             self.name = f"sens-join[{config.representation}]"
 
@@ -209,40 +225,40 @@ class SensJoin(JoinAlgorithm):
         """Run one snapshot execution of the three-step protocol."""
         network, tree = context.network, context.tree
         fmt = context.tuple_format()
-        channel = network.channel
-        keep_raw = self.config.representation in ("zlib", "bzip2")
 
-        states: Dict[int, _NodeState] = {node_id: _NodeState() for node_id in tree.node_ids}
+        states = {node_id: NodeState() for node_id in tree.node_ids}
         details: Dict[str, float] = {}
         tel = self.telemetry
 
         with tel.span(
             PHASE_COLLECTION, node_id=BASE_STATION_ID, start=0.0, protocol=self.name
         ) as sp:
-            bs_points, bs_finish = self._collection_phase(
-                context, fmt, states, keep_raw, details
-            )
+            bs_points, bs_finish = self._collection_phase(context, fmt, states, details)
             sp.end = bs_finish
 
         details["collection_finish_s"] = bs_finish
-        join_filter = self._build_filter(fmt, bs_points)
+        join_filter = build_join_filter(fmt, bs_points)
         details["filter_points"] = float(len(join_filter))
         details["filter_bytes"] = float(self._filter_bytes(fmt, join_filter))
+        states[BASE_STATION_ID].filter_received = join_filter
 
         with tel.span(
             PHASE_FILTER, node_id=BASE_STATION_ID, start=bs_finish, protocol=self.name
         ) as sp:
-            filter_finish = self._filter_phase(
-                context, fmt, states, join_filter, bs_finish, details
+            filter_finish, _ = self._filter_phase(
+                context, [(fmt, states, details)], bs_finish
             )
             sp.end = filter_finish
 
         with tel.span(
             PHASE_FINAL, node_id=BASE_STATION_ID, start=filter_finish, protocol=self.name
         ) as sp:
-            result, response_time = self._final_phase(context, fmt, states, details)
+            arrived, response_time = self._final_phase(context, fmt, states, details)
+            result = evaluate_records(context.query, fmt, arrived)
             sp.end = max(filter_finish, response_time)
 
+        shipped = {record.node_id for record in arrived}
+        details["false_positives"] = float(len(shipped - result.all_contributing_nodes()))
         # Three epoch-scheduled phases (collection, dissemination, final
         # collection; Fig. 1's sleepUntilNextStep boundaries) plus the
         # serialisation overflow accumulated along the critical path.
@@ -255,22 +271,13 @@ class SensJoin(JoinAlgorithm):
             details=details,
         )
 
-    def _build_filter(
-        self, fmt: TupleFormat, points: FrozenSet[FlaggedPoint]
-    ) -> FrozenSet[FlaggedPoint]:
-        """The filter to disseminate: single-query build, or the override."""
-        if self.filter_override is not None:
-            return self.filter_override(fmt, points)
-        return build_join_filter(fmt, points)
-
     # -- step 1a -------------------------------------------------------------------
 
     def _collection_phase(
         self,
         context: ExecutionContext,
         fmt: TupleFormat,
-        states: Dict[int, _NodeState],
-        keep_raw: bool,
+        states: Dict[int, NodeState],
         details: Dict[str, float],
     ) -> Tuple[FrozenSet[FlaggedPoint], float]:
         """Post-order collection with Treecut; returns the base station's
@@ -278,6 +285,8 @@ class SensJoin(JoinAlgorithm):
         network, tree = context.network, context.tree
         channel = network.channel
         treecut_enabled = self.config.dmax_bytes > 0
+        # The compressed representations size the raw join-attribute rows.
+        compressed = self.config.representation in ("zlib", "bzip2")
         reg = self.telemetry.registry
 
         # In-flight child payloads, keyed by sender.
@@ -311,13 +320,10 @@ class SensJoin(JoinAlgorithm):
                     received_raw.extend(payload.raw_rows)
                     all_children_full = False
 
-            state.record, flags = node_tuple(fmt, node_id)
+            state.record, _flags = node_tuple(fmt, node_id)
             own_bytes = fmt.full_tuple_bytes if state.record is not None else 0
             if state.record is not None:
-                join_values = {
-                    name: state.record.values[name] for name in fmt.join_attributes
-                }
-                state.own_point = (flags, fmt.quantizer.encode(join_values))
+                state.own_point = join_point(fmt, state.record)
 
             if node_id == BASE_STATION_ID:
                 # The base station acts like a proxy for full tuples it
@@ -397,7 +403,7 @@ class SensJoin(JoinAlgorithm):
                 1 if state.record is not None else 0
             )
             raw_rows = received_raw
-            if keep_raw:
+            if compressed:
                 raw_rows = list(received_raw)
                 for record in received_full:
                     raw_rows.append(
@@ -426,9 +432,7 @@ class SensJoin(JoinAlgorithm):
         """pi_JoinAttr over proxied complete tuples (Fig. 2 line 22)."""
         points: FrozenSet[FlaggedPoint] = frozenset()
         for record in records:
-            join_values = {name: record.values[name] for name in fmt.join_attributes}
-            point = (record.flags, fmt.quantizer.encode(join_values))
-            points = union_points(points, [point])
+            points = union_points(points, [join_point(fmt, record)])
         return points
 
     # -- step 1b -------------------------------------------------------------------
@@ -436,26 +440,29 @@ class SensJoin(JoinAlgorithm):
     def _filter_phase(
         self,
         context: ExecutionContext,
-        fmt: TupleFormat,
-        states: Dict[int, _NodeState],
-        join_filter: FrozenSet[FlaggedPoint],
+        groups: Sequence[FilterGroup],
         start_time: float,
-        details: Dict[str, float],
-    ) -> float:
+    ) -> Tuple[float, int]:
         """Pre-order dissemination with Selective Filter Forwarding.
 
-        Returns the time the filter wave dies out (the latest arrival at any
-        node that heard it) — the phase-span boundary.
+        One wave carries the join filters of 1..N share groups; a single
+        query is one group.  At every node each group prunes its own filter
+        against its SubtreeJoinAtts, and the surviving filters ride one
+        broadcast to the union of the groups' awake children, with a
+        per-filter header only when more than one filter is on board.
+
+        Returns the time the wave dies out (the latest arrival at any node
+        that heard it; the phase-span boundary) and how many broadcasts
+        carried more than one filter.
         """
-        network, tree = context.network, context.tree
-        channel = network.channel
+        tree, channel = context.tree, context.network.channel
         pruning_enabled = self.config.subtree_limit_bytes > 0
         reg = self.telemetry.registry
 
-        states[BASE_STATION_ID].filter_received = join_filter
-        states[BASE_STATION_ID].filter_arrival = start_time
-        broadcasts = 0
-        pruned_subtrees = 0
+        for _fmt, states, details in groups:
+            states[BASE_STATION_ID].filter_arrival = start_time
+            details["filter_broadcasts"] = details["filter_pruned_subtrees"] = 0.0
+        piggybacked = 0
         last_arrival = start_time
         # Sibling subtrees regularly receive the same filter and store equal
         # SubtreeJoinAtts (dense deployments quantize to the same cells), so
@@ -466,48 +473,63 @@ class SensJoin(JoinAlgorithm):
         ] = {}
 
         for node_id in tree.pre_order():
-            state = states[node_id]
-            if state.exited:
+            sendable: List[Tuple[FilterGroup, FrozenSet[FlaggedPoint], List[int]]] = []
+            departure = start_time
+            for group in groups:
+                _fmt, states, details = group
+                state = states[node_id]
+                incoming = state.filter_received
+                if state.exited or not incoming:
+                    continue
+                awake = [c for c in tree.children(node_id) if not states[c].exited]
+                if not awake:
+                    continue
+                if pruning_enabled and state.subtree_atts is not None:
+                    memo_key = (incoming, state.subtree_atts)
+                    subtree_filter = intersect_memo.get(memo_key)
+                    if subtree_filter is None:
+                        subtree_filter = intersect_points(incoming, state.subtree_atts)
+                        intersect_memo[memo_key] = subtree_filter
+                else:
+                    # Memory cap exceeded (or pruning disabled): forward as is.
+                    subtree_filter = incoming
+                if not subtree_filter:
+                    details["filter_pruned_subtrees"] += 1
+                    if reg.enabled:
+                        reg.counter("filter_pruned_subtrees_total", protocol=self.name).inc()
+                    self.tracer.emit(state.filter_arrival, node_id, FILTER_PRUNED)
+                    continue
+                sendable.append((group, subtree_filter, awake))
+                departure = max(departure, state.filter_arrival)
+            if not sendable:
                 continue
-            incoming = state.filter_received
-            if incoming is None or not incoming:
-                continue
-            awake_children = [
-                child for child in tree.children(node_id) if not states[child].exited
+
+            sizes = [
+                self._filter_bytes(fmt, subtree_filter)
+                for (fmt, _states, _details), subtree_filter, _awake in sendable
             ]
-            if not awake_children:
-                continue
-            if pruning_enabled and state.subtree_atts is not None:
-                memo_key = (incoming, state.subtree_atts)
-                subtree_filter = intersect_memo.get(memo_key)
-                if subtree_filter is None:
-                    subtree_filter = intersect_points(incoming, state.subtree_atts)
-                    intersect_memo[memo_key] = subtree_filter
-            else:
-                # Memory cap exceeded (or pruning disabled): forward as is.
-                subtree_filter = incoming
-            if not subtree_filter:
-                pruned_subtrees += 1
-                if reg.enabled:
-                    reg.counter("filter_pruned_subtrees_total", protocol=self.name).inc()
-                self.tracer.emit(state.filter_arrival, node_id, FILTER_PRUNED)
-                continue
-            payload_bytes = self._filter_bytes(fmt, subtree_filter)
-            channel.broadcast(node_id, awake_children, payload_bytes, PHASE_FILTER)
-            broadcasts += 1
-            self.tracer.emit(
-                state.filter_arrival, node_id, FILTER_BROADCAST,
-                points=len(subtree_filter), bytes=payload_bytes,
-                children=len(awake_children),
-            )
-            arrival = state.filter_arrival + channel.last_send_latency_s
+            payload = sum(sizes)
+            if len(sendable) > 1:
+                payload += PIGGYBACK_HEADER_BYTES * len(sendable)
+                piggybacked += 1
+                self.tracer.emit(
+                    departure, node_id, FILTER_PIGGYBACK,
+                    filters=len(sendable), bytes=payload,
+                )
+            receivers = sorted({c for _, _, awake in sendable for c in awake})
+            channel.broadcast(node_id, receivers, payload, PHASE_FILTER)
+            arrival = departure + channel.last_send_latency_s
             last_arrival = max(last_arrival, arrival)
-            for child in awake_children:
-                states[child].filter_received = subtree_filter
-                states[child].filter_arrival = arrival
-        details["filter_broadcasts"] = float(broadcasts)
-        details["filter_pruned_subtrees"] = float(pruned_subtrees)
-        return last_arrival
+            for ((_fmt, states, details), subtree_filter, awake), size in zip(sendable, sizes):
+                details["filter_broadcasts"] += 1
+                self.tracer.emit(
+                    departure, node_id, FILTER_BROADCAST,
+                    points=len(subtree_filter), bytes=size, children=len(awake),
+                )
+                for child in awake:
+                    states[child].filter_received = subtree_filter
+                    states[child].filter_arrival = arrival
+        return last_arrival, piggybacked
 
     # -- step 2 --------------------------------------------------------------------
 
@@ -515,10 +537,14 @@ class SensJoin(JoinAlgorithm):
         self,
         context: ExecutionContext,
         fmt: TupleFormat,
-        states: Dict[int, _NodeState],
+        states: Dict[int, NodeState],
         details: Dict[str, float],
-    ):
-        """Post-order collection of the complete tuples that match the filter."""
+    ) -> Tuple[List[FullTupleRecord], float]:
+        """Post-order collection of the complete tuples that match the filter.
+
+        Returns the records that reached the base station (its stored proxy
+        tuples included) and the time the last of them arrived.
+        """
         network, tree = context.network, context.tree
         channel = network.channel
 
@@ -566,45 +592,33 @@ class SensJoin(JoinAlgorithm):
             finish[node_id] = children_finish + channel.last_send_latency_s
 
         arrived = carried[BASE_STATION_ID]
-        self.last_arrived_records = list(arrived)
-        tuples_by_alias: Dict[str, List[Row]] = {alias: [] for alias in fmt.aliases}
-        for record in arrived:
-            for alias in fmt.aliases_of_flags(record.flags):
-                tuples_by_alias[alias].append(Row(record.node_id, dict(record.values)))
-        result = evaluate_join(context.query, tuples_by_alias, apply_selections=False)
-
-        contributing = result.all_contributing_nodes()
-        shipped = {record.node_id for record in arrived}
         details["final_tuples_shipped"] = float(len(arrived))
         details["final_senders"] = float(senders)
-        details["false_positives"] = float(len(shipped - contributing))
-        return result, finish[BASE_STATION_ID]
+        return arrived, finish[BASE_STATION_ID]
 
     def _matching_records(
         self,
         fmt: TupleFormat,
-        state: _NodeState,
-        flags_memo: Optional[Dict[FrozenSet[FlaggedPoint], Dict[int, int]]] = None,
+        state: NodeState,
+        flags_memo: Dict[FrozenSet[FlaggedPoint], Dict[int, int]],
     ) -> List[FullTupleRecord]:
         """Own + proxied tuples whose point is in the received filter."""
-        incoming = state.filter_received or frozenset()
+        incoming = state.filter_received
         if not incoming:
             return []
-        filter_flags = flags_memo.get(incoming) if flags_memo is not None else None
+        filter_flags = flags_memo.get(incoming)
         if filter_flags is None:
             filter_flags = {}
             for flags, z in incoming:
                 filter_flags[z] = filter_flags.get(z, 0) | flags
-            if flags_memo is not None:
-                flags_memo[incoming] = filter_flags
+            flags_memo[incoming] = filter_flags
         matched: List[FullTupleRecord] = []
         if state.record is not None and state.own_point is not None:
             own_flags, own_z = state.own_point
             if filter_flags.get(own_z, 0) & own_flags:
                 matched.append(state.record)
         for record in state.proxy_records:
-            join_values = {name: record.values[name] for name in fmt.join_attributes}
-            z = fmt.quantizer.encode(join_values)
+            _flags, z = join_point(fmt, record)
             if filter_flags.get(z, 0) & record.flags:
                 matched.append(record)
         return matched

@@ -20,12 +20,14 @@ deployment and recovers the redundancy between them:
     all false positives the wider filter lets through.
 
 3.  **Piggybacked dissemination.**  The composed filters of *different*
-    groups ride the same pre-order wave: at each node every group prunes
-    its own filter against its SubtreeJoinAtts (Selective Filter
-    Forwarding, per group), and whatever survives is concatenated — plus a
-    small per-filter header — into **one** broadcast instead of one wave
-    per group.  The final phase then runs once per group and each member
-    query is evaluated exactly over the group's arrived complete tuples.
+    groups ride the same pre-order wave — SensJoin's own Selective Filter
+    Forwarding wave (:meth:`~repro.joins.sensjoin.SensJoin._filter_phase`)
+    run over every group at once: at each node every group prunes its own
+    filter against its SubtreeJoinAtts, and whatever survives is
+    concatenated — plus a small per-filter header — into **one** broadcast
+    instead of one wave per group.  The final phase then runs once per
+    group and each member query is evaluated exactly over the group's
+    arrived complete tuples.
 
 With ``share_work=False`` (or ``concurrency=1``) every admitted query runs
 through the unmodified single-query path (:func:`repro.joins.runner.run_snapshot`),
@@ -56,23 +58,30 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .. import constants
-from ..codec.quadtree import FlaggedPoint
-from ..codec.setops import intersect_points
 from ..errors import BrokerError
-from ..joins.base import ExecutionContext, FullTupleRecord, TupleFormat, oracle_result
+from ..joins.base import (
+    ExecutionContext,
+    FullTupleRecord,
+    TupleFormat,
+    evaluate_records,
+    oracle_result,
+)
 from ..joins.filterbuild import build_join_filter, compose_filters
 from ..joins.runner import instrumented, make_algorithm, run_snapshot
-from ..joins.sensjoin import PHASE_FILTER, SensJoin, _NodeState
+from ..joins.sensjoin import NodeState, SensJoin
 from ..obs.telemetry import NULL_TELEMETRY, Telemetry
 from ..obs.timeseries import MetricsSampler, WindowedAggregate
-from ..query.evaluate import JoinResult, Row, evaluate_join
+# evaluate_join is bound here by name although members are evaluated
+# through evaluate_records: perfbench/tracing.py patches every module
+# binding of it, and perfbench/test_perfbench.py checks this one.
+from ..query.evaluate import JoinResult, evaluate_join  # noqa: F401
 from ..query.query import JoinQuery
 from ..routing.cluster import build_routing_tree
 from ..routing.ctp import reattach_tree
-from ..routing.dissemination import PIGGYBACK_HEADER_BYTES, flood_batch, flood_query
+from ..routing.dissemination import flood_batch, flood_query
 from ..routing.tree import RoutingTree
 from ..sim.faults import (
     ChurnModel,
@@ -96,8 +105,6 @@ from ..sim.trace import (
     BROKER_SHED,
     FAULT_INJECT,
     FILTER_COMPOSED,
-    FILTER_PIGGYBACK,
-    FILTER_PRUNED,
 )
 from .workloads import QueryRequest
 
@@ -146,9 +153,9 @@ def sharing_signature(query: JoinQuery) -> Tuple:
 class DeadlinePolicy:
     """Per-query deadline and retry semantics for churn-resilient batches.
 
-    ``timeout_s`` is the per-epoch wall-clock budget: a shared attempt whose
-    simulated duration exceeds it counts as disrupted even if no fault
-    landed mid-epoch (``None`` disables the wall-clock check; mid-epoch
+    ``timeout_s`` is the per-epoch simulated-time budget: a shared attempt
+    whose simulated duration exceeds it counts as disrupted even if no fault
+    landed mid-epoch (``None`` disables the deadline check; mid-epoch
     faults still disrupt).  A disrupted attempt is retried after a seeded
     exponential backoff — ``backoff_s`` scaled by ``backoff_factor`` per
     retry, jittered by a deterministic draw from ``seed`` so two brokers
@@ -274,12 +281,10 @@ class _GroupWave:
     """One share group's protocol state while its batch executes."""
 
     requests: List[QueryRequest]
-    engine: SensJoin
     context: ExecutionContext
     fmt: TupleFormat
-    states: Dict[int, _NodeState]
+    states: Dict[int, NodeState]
     details: Dict[str, float]
-    composed: FrozenSet[FlaggedPoint] = frozenset()
     finish_1a: float = 0.0
     energy_j: float = 0.0
     tx_packets: float = 0.0
@@ -701,6 +706,8 @@ class QueryBroker:
             world.take_snapshot(start)
         diss_energy, diss_tx = take_delta()
 
+        # One engine drives every group's phases; it keeps no per-query state.
+        engine = SensJoin(telemetry=self.telemetry)
         # Partition into share groups, in batch (= admission) order.
         waves: List[_GroupWave] = []
         by_signature: Dict[Tuple, _GroupWave] = {}
@@ -713,10 +720,9 @@ class QueryBroker:
                 )
                 wave = _GroupWave(
                     requests=[],
-                    engine=SensJoin(telemetry=self.telemetry),
                     context=context,
                     fmt=context.tuple_format(),
-                    states={nid: _NodeState() for nid in tree.node_ids},
+                    states={nid: NodeState() for nid in tree.node_ids},
                     details={},
                 )
                 by_signature[key] = wave
@@ -728,15 +734,16 @@ class QueryBroker:
         # members surface degraded outcomes, the other groups keep going.
         for wave in waves:
             try:
-                bs_points, finish_1a = wave.engine._collection_phase(
-                    wave.context, wave.fmt, wave.states, False, wave.details
+                bs_points, finish_1a = engine._collection_phase(
+                    wave.context, wave.fmt, wave.states, wave.details
                 )
                 wave.finish_1a = finish_1a
                 per_query = [
                     build_join_filter(TupleFormat(r.query, world), bs_points)
                     for r in wave.requests
                 ]
-                wave.composed = compose_filters(per_query)
+                composed = compose_filters(per_query)
+                wave.states[BASE_STATION_ID].filter_received = composed
             except Exception as exc:
                 wave.error = BrokerError(
                     f"collection phase failed: {exc}", cause=exc
@@ -747,14 +754,14 @@ class QueryBroker:
                 continue
             self.tracer.emit(
                 finish_1a, BASE_STATION_ID, FILTER_COMPOSED,
-                queries=len(wave.requests), points=len(wave.composed),
+                queries=len(wave.requests), points=len(composed),
             )
             energy, tx = take_delta()
             wave.energy_j += energy
             wave.tx_packets += tx
 
         # Phase 1b: all groups' filters ride one pre-order wave.
-        piggybacked = self._disseminate_filters(waves, start_time=max(
+        piggybacked = self._disseminate_filters(engine, waves, start_time=max(
             wave.finish_1a for wave in waves
         ))
         energy, tx = take_delta()
@@ -771,10 +778,9 @@ class QueryBroker:
             finish = wave.finish_1a
             if wave.error is None:
                 try:
-                    _, finish = wave.engine._final_phase(
+                    arrived, finish = engine._final_phase(
                         wave.context, wave.fmt, wave.states, wave.details
                     )
-                    arrived = wave.engine.last_arrived_records
                 except Exception as exc:
                     wave.error = BrokerError(
                         f"final phase failed: {exc}", cause=exc
@@ -794,7 +800,7 @@ class QueryBroker:
                     result = _empty_result(request.query)
                 else:
                     try:
-                        result = _evaluate_for(request.query, wave.fmt, arrived)
+                        result = evaluate_records(request.query, wave.fmt, arrived)
                         error = None
                     except Exception as exc:
                         error = BrokerError(
@@ -832,68 +838,15 @@ class QueryBroker:
         return outcomes, stats
 
     def _disseminate_filters(
-        self, waves: List[_GroupWave], start_time: float
+        self, engine: SensJoin, waves: List[_GroupWave], start_time: float
     ) -> int:
-        """Pre-order filter dissemination with cross-group piggybacking.
+        """Phase 1b for the batch: one SensJoin filter wave over every group.
 
-        Mirrors :meth:`SensJoin._filter_phase` per group — Selective Filter
-        Forwarding prunes each group's filter independently — but at every
-        node the surviving filters are concatenated (plus a per-filter
-        header) into a single broadcast to the union of the groups' awake
-        children.  Returns how many broadcasts carried more than one
-        group's filter.
+        Each group's composed filter sits in its base-station state.
+        Returns how many broadcasts carried more than one group's filter.
         """
-        tree = self.tree
-        channel = self.network.channel
-        piggybacked = 0
-        for wave in waves:
-            bs_state = wave.states[BASE_STATION_ID]
-            bs_state.filter_received = wave.composed
-            bs_state.filter_arrival = start_time
-        for node_id in tree.pre_order():
-            sendable: List[Tuple[_GroupWave, FrozenSet[FlaggedPoint], List[int]]] = []
-            departure = start_time
-            for wave in waves:
-                state = wave.states[node_id]
-                if state.exited:
-                    continue
-                incoming = state.filter_received
-                if incoming is None or not incoming:
-                    continue
-                awake = [
-                    c for c in tree.children(node_id) if not wave.states[c].exited
-                ]
-                if not awake:
-                    continue
-                if state.subtree_atts is not None:
-                    pruned = intersect_points(incoming, state.subtree_atts)
-                else:
-                    pruned = incoming
-                if not pruned:
-                    self.tracer.emit(state.filter_arrival, node_id, FILTER_PRUNED)
-                    continue
-                sendable.append((wave, pruned, awake))
-                departure = max(departure, state.filter_arrival)
-            if not sendable:
-                continue
-            receivers = sorted({c for _, _, awake in sendable for c in awake})
-            payload = sum(
-                wave.engine._filter_bytes(wave.fmt, pruned)
-                for wave, pruned, _ in sendable
-            )
-            if len(sendable) > 1:
-                payload += PIGGYBACK_HEADER_BYTES * len(sendable)
-                piggybacked += 1
-                self.tracer.emit(
-                    departure, node_id, FILTER_PIGGYBACK,
-                    filters=len(sendable), bytes=payload,
-                )
-            channel.broadcast(node_id, receivers, payload, PHASE_FILTER)
-            arrival = departure + channel.last_send_latency_s
-            for wave, pruned, awake in sendable:
-                for child in awake:
-                    wave.states[child].filter_received = pruned
-                    wave.states[child].filter_arrival = arrival
+        groups = [(wave.fmt, wave.states, wave.details) for wave in waves]
+        _, piggybacked = engine._filter_phase(waves[0].context, groups, start_time)
         return piggybacked
 
     # -- churn-resilient execution ladder ------------------------------------
@@ -905,7 +858,7 @@ class QueryBroker:
 
         Rung 1: shared execution, retried with seeded exponential backoff
         while epochs are disrupted (a churn fault landed mid-epoch, or the
-        deadline's wall-clock budget was blown).  Rung 2: the share group
+        deadline's simulated-time budget was blown).  Rung 2: the share group
         splits — members re-execute independently, each getting at most one
         extra re-run if churn races its serial epoch too.  Every admitted
         query terminates with a recall-stamped outcome.
@@ -1195,21 +1148,3 @@ def _empty_result(query: JoinQuery) -> JoinResult:
     """The zero-match result shape for degraded and shed outcomes."""
     return JoinResult.from_lists(tuple(query.aliases), [], [])
 
-
-def _evaluate_for(
-    query: JoinQuery, fmt: TupleFormat, arrived: List[FullTupleRecord]
-) -> JoinResult:
-    """Exact evaluation of one member query over the group's arrived tuples.
-
-    ``fmt`` is the group representative's format; the sharing signature
-    guarantees identical aliases and flag bits across the group, so the
-    alias routing below is valid for every member.  Selections were already
-    applied at acquisition time (identical within the group), hence
-    ``apply_selections=False`` — the same contract as the single-query
-    final phase.
-    """
-    tuples_by_alias: Dict[str, List[Row]] = {alias: [] for alias in fmt.aliases}
-    for record in arrived:
-        for alias in fmt.aliases_of_flags(record.flags):
-            tuples_by_alias[alias].append(Row(record.node_id, dict(record.values)))
-    return evaluate_join(query, tuples_by_alias, apply_selections=False)

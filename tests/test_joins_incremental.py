@@ -4,7 +4,7 @@ import pytest
 
 from repro.joins.incremental import IncrementalSensJoin
 from repro.joins.runner import run_snapshot
-from repro.joins.sensjoin import SensJoinConfig
+from repro.joins.sensjoin import PHASE_FINAL, SensJoin, SensJoinConfig
 from repro.query.parser import parse_query
 from repro.query.query import JoinQuery, Once
 
@@ -25,14 +25,27 @@ def snapshot_reference(network, world, query, algorithm, t):
 
 
 def test_every_round_exact(setup):
-    """Each round's result equals the external join on the same snapshot."""
+    """Each round's result equals the external join on the same snapshot,
+    and its final phase costs what the snapshot protocol's (Treecut off)
+    final phase costs on that snapshot."""
     network, world, query = setup
     executor = IncrementalSensJoin(network, world, query, tree_seed=17)
     for round_index in range(4):
         t = round_index * 60.0
         outcome = executor.run_round(t)
+        final = (
+            outcome.stats.total_tx_packets([PHASE_FINAL]),
+            outcome.stats.total_tx_bytes([PHASE_FINAL]),
+        )
         reference = snapshot_reference(network, world, query, "external-join", t)
         assert outcome.result.signature() == reference.result.signature(), round_index
+        snapshot = snapshot_reference(
+            network, world, query, SensJoin(SensJoinConfig(dmax_bytes=0)), t
+        )
+        assert final == (
+            snapshot.stats.total_tx_packets([PHASE_FINAL]),
+            snapshot.stats.total_tx_bytes([PHASE_FINAL]),
+        ), round_index
 
 
 def test_steady_state_cheaper_than_first_round(setup):
@@ -77,33 +90,6 @@ def test_frozen_field_costs_almost_nothing_after_round0(make_deployment):
     assert phases.get("join-attribute-collection", 0) == 0
     assert phases.get("filter-dissemination", 0) == 0
     assert second.total_transmissions < first.total_transmissions
-
-
-def test_treecut_disabled_by_default(setup):
-    network, world, query = setup
-    executor = IncrementalSensJoin(network, world, query, tree_seed=17)
-    assert executor.config.dmax_bytes == 0
-    executor.run_round(0.0)
-    assert not any(cache.exited for cache in executor.caches.values())
-
-
-def test_explicit_treecut_still_exact(setup):
-    network, world, query = setup
-    executor = IncrementalSensJoin(
-        network, world, query, config=SensJoinConfig(), tree_seed=17
-    )
-    outcome = executor.run_round(0.0)
-    reference = snapshot_reference(network, world, query, "external-join", 0.0)
-    assert outcome.result.signature() == reference.result.signature()
-    assert any(cache.exited for cache in executor.caches.values())
-
-
-def test_non_quadtree_representation_rejected(setup):
-    network, world, query = setup
-    with pytest.raises(ValueError, match="quadtree"):
-        IncrementalSensJoin(
-            network, world, query, config=SensJoinConfig(representation="raw")
-        )
 
 
 def test_membership_changes_handled(make_deployment):

@@ -148,6 +148,7 @@ class TestTreecut:
     def test_dmax_bounds_proxy_memory(self, small_network, small_world, tail_query):
         """Invariant 8: proxy storage <= D_max per child (§IV-B)."""
         from repro.joins.base import ExecutionContext, TupleFormat
+        from repro.joins.sensjoin import NodeState
         from repro.routing.ctp import build_tree
 
         query = tail_query(1.5)
@@ -157,14 +158,12 @@ class TestTreecut:
         algo = SensJoin()
         context = ExecutionContext(small_network, tree, small_world, query)
         fmt = TupleFormat(query, small_world)
-        states = {node_id: None for node_id in tree.node_ids}
 
         # Run the collection phase alone and inspect internal state.
-        internal_states = {nid: __import__("repro.joins.sensjoin", fromlist=["_NodeState"])._NodeState() for nid in tree.node_ids}
-        details = {}
-        algo._collection_phase(context, fmt, internal_states, False, details)
+        states = {nid: NodeState() for nid in tree.node_ids}
+        algo._collection_phase(context, fmt, states, {})
         dmax = algo.config.dmax_bytes
-        for node_id, state in internal_states.items():
+        for node_id, state in states.items():
             if node_id == tree.root or state.exited:
                 continue
             children = len(tree.children(node_id))

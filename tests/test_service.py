@@ -18,10 +18,9 @@ from __future__ import annotations
 import pytest
 
 from repro.joins.base import ExecutionContext, oracle_result
-from repro.joins.des_sensjoin import DesSensJoin
 from repro.joins.filterbuild import build_join_filter, compose_filters
 from repro.joins.runner import run_snapshot
-from repro.joins.sensjoin import SensJoin
+from repro.joins.sensjoin import NodeState, SensJoin
 from repro.obs.telemetry import Telemetry
 from repro.query.parser import parse_query
 from repro.routing.ctp import build_tree
@@ -47,9 +46,17 @@ from repro.sim.trace import (
     BROKER_GROUP_SPLIT,
     BROKER_RETRY,
     BROKER_SHED,
+    FILTER_BROADCAST,
     FILTER_COMPOSED,
     FILTER_PIGGYBACK,
+    FILTER_PRUNED,
+    FINAL_SEND,
     KNOWN_EVENT_KINDS,
+    PROXY_STORE,
+    SEND_JOIN_ATTS,
+    SUBTREE_OVERFLOW,
+    SUBTREE_STORE,
+    TREECUT_EXIT,
 )
 
 
@@ -182,10 +189,8 @@ def test_compose_filters_is_superset_union(deployment):
     context = ExecutionContext(network=network, tree=tree, world=world, query=queries[0])
     engine = SensJoin()
     fmt = context.tuple_format()
-    from repro.joins.sensjoin import _NodeState
-
-    states = {nid: _NodeState() for nid in tree.node_ids}
-    bs_points, _ = engine._collection_phase(context, fmt, states, False, {})
+    states = {nid: NodeState() for nid in tree.node_ids}
+    bs_points, _ = engine._collection_phase(context, fmt, states, {})
     per_query = [
         build_join_filter(ExecutionContext(network=network, tree=tree, world=world, query=q).tuple_format(), bs_points)
         for q in queries
@@ -284,6 +289,48 @@ def shared_run(deployment, templates):
         references[request.query_id] = outcome.result.result_set()
         serial_energy += network.total_energy()
     return report, telemetry, requests, references, shared_energy, serial_energy, shared_tx
+
+
+def test_shared_path_single_request_matches_snapshot_protocol(deployment, templates):
+    """A share group of one runs the snapshot protocol itself: same result,
+    same per-phase traffic, same protocol trace as ``run_snapshot``."""
+    network, world, tree = deployment
+    protocol_kinds = {
+        TREECUT_EXIT, PROXY_STORE, SEND_JOIN_ATTS, SUBTREE_STORE,
+        SUBTREE_OVERFLOW, FILTER_BROADCAST, FILTER_PRUNED, FINAL_SEND,
+    }
+
+    def protocol_trace(telemetry):
+        return [
+            (e.time, e.node_id, e.kind, tuple(sorted(e.detail.items())))
+            for e in telemetry.tracer.events
+            if e.kind in protocol_kinds
+        ]
+
+    def phase_traffic():
+        stats = network.stats
+        return {
+            phase: (stats.total_tx_packets([phase]), stats.total_tx_bytes([phase]))
+            for phase in stats.tx_packets_by_phase()
+        }
+
+    telemetry = Telemetry.capture()
+    broker = QueryBroker(network, world, BrokerConfig(), tree=tree, telemetry=telemetry)
+    (outcome,), stats = broker._execute_batch_shared(
+        _simultaneous(templates[:1]), 0.0, 0
+    )
+    shared_traffic = phase_traffic()
+    reference_telemetry = Telemetry.capture()
+    reference = run_snapshot(
+        network, world, templates[0], algorithm=SensJoin(), tree=tree,
+        telemetry=reference_telemetry,
+    )
+    assert outcome.result_set() == reference.result.result_set()
+    assert shared_traffic == phase_traffic()
+    assert stats["piggybacked_broadcasts"] == 0
+    trace = protocol_trace(telemetry)
+    assert FILTER_BROADCAST in {kind for _, _, kind, _ in trace}
+    assert trace == protocol_trace(reference_telemetry)
 
 
 def test_shared_batch_runs_as_one_epoch(shared_run):
@@ -412,52 +459,6 @@ def test_latency_percentile_validation(deployment, templates):
     with pytest.raises(ValueError):
         BrokerReport(outcomes=[], total_energy_j=0, total_tx_packets=0,
                      batch_count=0).latency_percentile(0.5)
-
-
-# -- filter override hook ----------------------------------------------------
-
-
-def test_filter_override_superset_keeps_sensjoin_exact(deployment):
-    """A widened (composed) filter must not change a SensJoin result."""
-    network, world, tree = deployment
-    query, other = _tail(1.4), _tail(0.8)
-
-    def widen(fmt, points):
-        return compose_filters(
-            [build_join_filter(fmt, points),
-             build_join_filter(ExecutionContext(
-                 network=network, tree=tree, world=world, query=other
-             ).tuple_format(), points)]
-        )
-
-    plain = run_snapshot(network, world, query, tree=tree)
-    widened = run_snapshot(
-        network, world, query, tree=tree,
-        algorithm=SensJoin(filter_override=widen),
-    )
-    assert widened.result.result_set() == plain.result.result_set()
-    # The wider filter can only let *more* tuples through phase 2.
-    assert widened.total_transmissions >= plain.total_transmissions
-
-
-def test_filter_override_superset_keeps_des_sensjoin_exact(deployment):
-    network, world, tree = deployment
-    query, other = _tail(1.4), _tail(0.8)
-
-    def widen(fmt, points):
-        return compose_filters(
-            [build_join_filter(fmt, points),
-             build_join_filter(ExecutionContext(
-                 network=network, tree=tree, world=world, query=other
-             ).tuple_format(), points)]
-        )
-
-    plain = run_snapshot(network, world, query, tree=tree, algorithm="des-sensjoin")
-    widened = run_snapshot(
-        network, world, query, tree=tree,
-        algorithm=DesSensJoin(filter_override=widen),
-    )
-    assert widened.result.result_set() == plain.result.result_set()
 
 
 # -- resilience: error isolation, deadlines, shedding ------------------------
