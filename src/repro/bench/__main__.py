@@ -42,13 +42,12 @@ from typing import Optional, Sequence
 
 from ..errors import ReproError
 from .cache import ResultCache
-from .harness import experiment_specs, run_experiments, run_sharded_deployment
+from .harness import experiment_specs, run_experiments
 from .reporting import ExperimentSeries, render_table, save_csv
 
 DEFAULT_RESULTS_DIR = Path("benchmarks") / "results"
 SERIES_BUNDLE = "series.json"
 MANIFEST_NAME = "run_manifest.json"
-SHARD_MANIFEST_NAME = "shard_manifest.json"
 
 
 def _resolve_node_count(args: argparse.Namespace) -> int:
@@ -220,47 +219,6 @@ def _cmd_report(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_shard(args: argparse.Namespace) -> int:
-    if args.nodes < 2:
-        raise ValueError(f"--nodes must be >= 2: {args.nodes}")
-    results_dir = Path(args.results_dir)
-    cache_dir = results_dir / ".cache"
-    started = time.perf_counter()
-    run = run_sharded_deployment(
-        args.nodes,
-        args.shards,
-        seed=args.seed,
-        routing=args.routing,
-        deployment=args.deployment,
-        jobs=args.jobs,
-        cache_dir=None if args.no_cache else cache_dir,
-        progress=lambda line: print(line, flush=True),
-    )
-    wall = time.perf_counter() - started
-    series = run.series[0]
-    save_csv(series, results_dir)
-    print(render_table(series))
-    run.manifest.update(
-        {
-            "node_count": args.nodes,
-            "shard_count": args.shards,
-            "wall_seconds": round(wall, 3),
-            "results_dir": str(results_dir),
-        }
-    )
-    (results_dir / SHARD_MANIFEST_NAME).write_text(
-        json.dumps(run.manifest, indent=2, sort_keys=True) + "\n"
-    )
-    cached = run.manifest["cached_cells"]
-    print(
-        f"{args.nodes} nodes over {args.shards} shard(s) "
-        f"({cached} cached) in {wall:.1f}s wall; "
-        f"csv: {results_dir / 'shard.csv'}; "
-        f"manifest: {results_dir / SHARD_MANIFEST_NAME}"
-    )
-    return 0
-
-
 def _cmd_perf(args: argparse.Namespace) -> int:
     from .perf import cmd_perf  # deferred: keeps `list`/`report` startup light
 
@@ -377,35 +335,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     report.add_argument("--results-dir", default=str(DEFAULT_RESULTS_DIR))
     report.set_defaults(handler=_cmd_report)
-
-    shard = commands.add_parser(
-        "shard",
-        help="fan a giant deployment out over per-subtree shard workers",
-    )
-    shard.add_argument(
-        "--nodes", type=int, default=10000, help="deployment size (default 10000)"
-    )
-    shard.add_argument(
-        "--shards", type=int, default=4, help="shard cells to partition into"
-    )
-    shard.add_argument(
-        "--jobs", type=int, default=1, help="worker processes (1 = in-process)"
-    )
-    shard.add_argument("--seed", type=int, default=0)
-    shard.add_argument("--routing", choices=["flat", "cluster"], default="flat")
-    shard.add_argument(
-        "--deployment",
-        choices=["grid", "uniform"],
-        default="grid",
-        help="grid stays connected at any size; uniform is the paper's draw",
-    )
-    shard.add_argument("--results-dir", default=str(DEFAULT_RESULTS_DIR))
-    shard.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="compute every shard even if a cached result exists",
-    )
-    shard.set_defaults(handler=_cmd_shard)
 
     perf = commands.add_parser(
         "perf",

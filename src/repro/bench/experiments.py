@@ -70,7 +70,6 @@ __all__ = [
     "concurrency_study",
     "churn_study",
     "scale_study",
-    "scale_shard",
     "scale_node_counts",
     "SCALE_LADDER",
 ]
@@ -1546,7 +1545,6 @@ def scale_node_counts(node_count: int) -> List[int]:
 
 def scale_study(
     node_counts: Optional[Sequence[int]] = None,
-    routings: Sequence[str] = ("flat", "cluster"),
     node_count: Optional[int] = None,
     seed: int = 0,
     threshold: float = 6.0,
@@ -1555,24 +1553,23 @@ def scale_study(
 
     Beyond the paper (§VI stops at 1500 nodes): each sweep point deploys a
     *fresh* uniform network at the paper's density — the spatial grid index
-    makes the adjacency build O(n) — forms the routing tree in the requested
-    mode, and runs one fixed-threshold 33%-ratio SENS-Join snapshot.  The
-    query threshold is pinned (no calibration bisection: at 10k nodes each
-    probe join is itself seconds of work) so rows across scales share one
-    selectivity semantics rather than one result fraction.
+    makes the adjacency build O(n) — forms the min-hop CTP tree, and runs
+    one fixed-threshold 33%-ratio SENS-Join snapshot.  The query threshold
+    is pinned (no calibration bisection: at 10k nodes each probe join is
+    itself seconds of work) so rows across scales share one selectivity
+    semantics rather than one result fraction.
 
     Reported per point: wall-clock build/tree-formation time, topology shape
-    (mean degree, tree height, cluster-head count), and the join's
-    transmissions, total energy, hottest-node energy (via the array-backed
+    (mean degree, tree height), and the join's transmissions, total energy,
+    hottest-node energy (via the array-backed
     :meth:`~repro.sim.network.Network.residual_energy_columns` view) and
-    response time.  The cluster rows quantify the grid-head tradeoff: fewer
-    interior forwarders, but head fan-in raises response time.
+    response time.
     """
     import time
+    from dataclasses import replace
 
     from ..data.relations import SensorWorld
     from ..joins.runner import run_snapshot
-    from ..routing.cluster import build_cluster_tree
     from ..routing.ctp import build_tree
     from ..sim.network import DeploymentConfig, deploy_uniform
 
@@ -1585,178 +1582,43 @@ def scale_study(
         experiment="scale",
         title="Scale ladder: build, tree formation and join cost vs network size",
         columns=[
-            "nodes", "routing", "build_s", "tree_s", "avg_degree", "height",
-            "heads", "join_tx", "join_energy", "hot_node_energy",
-            "response_time_s", "matches",
+            "nodes", "build_s", "tree_s", "avg_degree", "height", "join_tx",
+            "join_energy", "hot_node_energy", "response_time_s", "matches",
         ],
     )
     for count in node_counts:
-        for routing in routings:
-            base = DeploymentConfig().scaled(count)
-            config = DeploymentConfig(
-                node_count=base.node_count,
-                area_side_m=base.area_side_m,
-                radio_range_m=base.radio_range_m,
-                seed=seed,
-                routing=routing,
-            )
-            started = time.perf_counter()
-            network = deploy_uniform(config)
-            build_s = time.perf_counter() - started
-            started = time.perf_counter()
-            if routing == "cluster":
-                layout = build_cluster_tree(network, seed=seed)
-                tree, heads = layout.tree, layout.head_count
-            else:
-                tree, heads = build_tree(network, seed=seed), 0
-            tree_s = time.perf_counter() - started
-            sensors = network.sensor_node_ids
-            avg_degree = sum(
-                len(network.neighbours(node_id)) for node_id in sensors
-            ) / len(sensors)
-            world = SensorWorld.homogeneous(
-                network, seed=seed, area_side_m=config.area_side_m
-            )
-            outcome = run_snapshot(network, world, query, "sens-join", tree=tree)
-            _ids, spent = network.residual_energy_columns()
-            series.add_row(
-                count,
-                routing,
-                round(build_s, 3),
-                round(tree_s, 3),
-                round(avg_degree, 2),
-                tree.height,
-                heads,
-                outcome.total_transmissions,
-                round(network.total_energy(), 1),
-                round(float(spent.max()), 2),
-                round(outcome.response_time_s, 2),
-                outcome.result.match_count,
-            )
+        config = replace(DeploymentConfig().scaled(count), seed=seed)
+        started = time.perf_counter()
+        network = deploy_uniform(config)
+        build_s = time.perf_counter() - started
+        started = time.perf_counter()
+        tree = build_tree(network, seed=seed)
+        tree_s = time.perf_counter() - started
+        sensors = network.sensor_node_ids
+        avg_degree = sum(
+            len(network.neighbours(node_id)) for node_id in sensors
+        ) / len(sensors)
+        world = SensorWorld.homogeneous(
+            network, seed=seed, area_side_m=config.area_side_m
+        )
+        outcome = run_snapshot(network, world, query, "sens-join", tree=tree)
+        _ids, spent = network.residual_energy_columns()
+        series.add_row(
+            count,
+            round(build_s, 3),
+            round(tree_s, 3),
+            round(avg_degree, 2),
+            tree.height,
+            outcome.total_transmissions,
+            round(network.total_energy(), 1),
+            round(float(spent.max()), 2),
+            round(outcome.response_time_s, 2),
+            outcome.result.match_count,
+        )
     series.notes.append(
         "fresh deployment per row; build_s/tree_s are wall-clock and vary "
         "run to run — every other column is deterministic per seed; "
         "fixed query threshold (no per-scale calibration), so compare "
         "costs across rows, not result fractions"
-    )
-    return series
-
-
-def scale_shard(
-    node_count: int,
-    seed: int = 0,
-    routing: str = "flat",
-    shard_index: int = 0,
-    shard_count: int = 4,
-    deployment: str = "grid",
-) -> ExperimentSeries:
-    """One shard of a sharded giant deployment (see ``bench shard``).
-
-    Every shard worker rebuilds the *same* deployment and routing tree from
-    ``(node_count, seed, routing, deployment)``, computes the *same*
-    deterministic partition of the base station's depth-1 subtrees — largest
-    subtree first, greedily assigned to the lightest shard bin, ties broken
-    by root id and bin index — and then accounts the collection phase for
-    its own shard only: every shard node forwards its subtree's tuples one
-    hop towards the base station through
-    :meth:`~repro.sim.radio.Channel.unicast`.
-
-    Because the partition is a pure function of the cell parameters, the
-    merge is deterministic regardless of worker count or completion order,
-    and the assembler can gate completeness with a node-count and an id
-    checksum (sensor ids are ``1..node_count``, so the shard id-sums must
-    total ``n(n+1)/2``).  Grid deployment is the default: at 50k-100k nodes
-    a uniform draw at the paper's density is disconnected with high
-    probability (mean degree ~10.5 < ln n), while the grid stays connected
-    at any size.
-    """
-    import time
-
-    from ..routing.cluster import build_routing_tree
-    from ..sim.network import DeploymentConfig, deploy_grid, deploy_uniform
-    from ..sim.node import BASE_STATION_ID
-
-    if shard_count < 1:
-        raise ValueError(f"shard_count must be >= 1: {shard_count}")
-    if not 0 <= shard_index < shard_count:
-        raise ValueError(
-            f"shard_index {shard_index} outside [0, {shard_count})"
-        )
-    deployers = {"grid": deploy_grid, "uniform": deploy_uniform}
-    if deployment not in deployers:
-        raise ValueError(
-            f"deployment must be one of {sorted(deployers)}: {deployment!r}"
-        )
-
-    base = DeploymentConfig().scaled(node_count)
-    config = DeploymentConfig(
-        node_count=base.node_count,
-        area_side_m=base.area_side_m,
-        radio_range_m=base.radio_range_m,
-        seed=seed,
-        routing=routing,
-    )
-    started = time.perf_counter()
-    network = deployers[deployment](config)
-    build_s = time.perf_counter() - started
-    started = time.perf_counter()
-    tree = build_routing_tree(network, routing=routing, seed=seed)
-    tree_s = time.perf_counter() - started
-
-    # Deterministic partition: identical in every worker by construction.
-    subtrees = [
-        (root, list(tree.subtree(root)))
-        for root in sorted(tree.children(BASE_STATION_ID))
-    ]
-    order = sorted(subtrees, key=lambda item: (-len(item[1]), item[0]))
-    loads = [0] * shard_count
-    mine: List[List[int]] = []
-    for root, members in order:
-        target = min(range(shard_count), key=lambda i: (loads[i], i))
-        loads[target] += len(members)
-        if target == shard_index:
-            mine.append(members)
-
-    # Collection-phase accounting for this shard's nodes only: a converge
-    # cast where each node relays its proper descendants' tuples plus its
-    # own one hop upward (the paper's default three attributes per tuple).
-    tuple_bytes = 3 * constants.BYTES_PER_ATTRIBUTE
-    descendants = tree.descendant_counts()
-    network.reset_accounting()
-    tx_packets = 0
-    max_depth = 0
-    for members in mine:
-        for node_id in members:
-            tuples = 1 + descendants[node_id]
-            tx_packets += network.channel.unicast(
-                node_id, tree.parent(node_id), tuples * tuple_bytes,
-                "shard-collection",
-            )
-            depth = tree.depth(node_id)
-            if depth > max_depth:
-                max_depth = depth
-
-    shard_nodes = sum(len(members) for members in mine)
-    id_sum = sum(sum(members) for members in mine)
-    series = ExperimentSeries(
-        experiment="shard",
-        title=f"sharded deployment: {node_count} nodes over {shard_count} shard(s)",
-        columns=[
-            "shard", "shards", "nodes", "subtrees", "max_depth", "tx_packets",
-            "energy", "id_sum", "total_nodes", "build_s", "tree_s",
-        ],
-    )
-    series.add_row(
-        shard_index,
-        shard_count,
-        shard_nodes,
-        len(mine),
-        max_depth,
-        tx_packets,
-        round(network.total_energy(), 1),
-        id_sum,
-        node_count,
-        round(build_s, 3),
-        round(tree_s, 3),
     )
     return series

@@ -56,10 +56,8 @@ __all__ = [
     "CellResult",
     "ExperimentSpec",
     "RunResult",
-    "deployment_shard_spec",
     "experiment_specs",
     "run_experiments",
-    "run_sharded_deployment",
 ]
 
 #: Manifest layout version (see :attr:`RunResult.manifest`).
@@ -196,150 +194,6 @@ def _assemble_loss(series_list: List[ExperimentSeries]) -> ExperimentSeries:
             f"SENS-Join result changed under loss: match counts {sorted(sens)}"
         )
     return out
-
-
-def _assemble_shards(series_list: List[ExperimentSeries]) -> ExperimentSeries:
-    """Sharded deployment: gate completeness, then append the merge row.
-
-    Each shard cell reports its own slice of the partition; the merge is
-    only valid when the slices tile the whole deployment.  Two checks catch
-    every partition bug at once: the shard node counts must sum to the
-    deployment size, and the shard id-sums must total ``n(n+1)/2`` (sensor
-    ids are ``1..n``), which rules out overlap-plus-gap combinations that
-    keep the count right.  The appended ``shard == -1`` row is the merged
-    view: sums for work columns, maxima for the parallel wall-clock ones.
-    """
-    out = _assemble_concat(series_list)
-    col = {name: out.columns.index(name) for name in out.columns}
-    totals = {int(row[col["total_nodes"]]) for row in out.rows}
-    shard_counts = {int(row[col["shards"]]) for row in out.rows}
-    if len(totals) != 1 or shard_counts != {len(out.rows)}:
-        raise ProtocolError(
-            f"shard cells disagree on the deployment: total_nodes {sorted(totals)}, "
-            f"shards {sorted(shard_counts)} for {len(out.rows)} cell(s)"
-        )
-    total = totals.pop()
-    covered = sum(int(row[col["nodes"]]) for row in out.rows)
-    id_sum = sum(int(row[col["id_sum"]]) for row in out.rows)
-    expected_ids = total * (total + 1) // 2
-    if covered != total or id_sum != expected_ids:
-        raise ProtocolError(
-            f"sharded deployment merge incomplete: {covered}/{total} node(s), "
-            f"id checksum {id_sum} != {expected_ids}"
-        )
-    out.rows.append([
-        -1,
-        len(out.rows),
-        covered,
-        sum(int(row[col["subtrees"]]) for row in out.rows),
-        max(int(row[col["max_depth"]]) for row in out.rows),
-        sum(int(row[col["tx_packets"]]) for row in out.rows),
-        round(sum(float(row[col["energy"]]) for row in out.rows), 1),
-        id_sum,
-        total,
-        max(float(row[col["build_s"]]) for row in out.rows),
-        max(float(row[col["tree_s"]]) for row in out.rows),
-    ])
-    out.notes.append(
-        "shard -1 = deterministic merge of all shards (sums; build_s/tree_s "
-        "are maxima — shards rebuild in parallel); completeness gated on "
-        "node count and id checksum"
-    )
-    return out
-
-
-def deployment_shard_spec(
-    node_count: int,
-    shard_count: int = 4,
-    seed: int = 0,
-    routing: str = "flat",
-    deployment: str = "grid",
-) -> ExperimentSpec:
-    """A synthetic experiment spec: one cell per shard of a giant deployment.
-
-    The cells are ordinary harness cells (picklable, content-addressed, one
-    :func:`repro.bench.experiments.scale_shard` call each), so the existing
-    fan-out, cache and progress machinery applies unchanged; only the
-    assembler differs — it verifies the shards tile the deployment before
-    appending the merged totals row.
-    """
-    if shard_count < 1:
-        raise ValueError(f"shard_count must be >= 1: {shard_count}")
-    name = "shard"
-    cells = [
-        Cell.make(
-            name,
-            "scale_shard",
-            {
-                "node_count": node_count,
-                "seed": seed,
-                "routing": routing,
-                "shard_index": index,
-                "shard_count": shard_count,
-                "deployment": deployment,
-            },
-            index,
-        )
-        for index in range(shard_count)
-    ]
-    return ExperimentSpec(
-        name,
-        f"sharded deployment: {node_count} nodes over {shard_count} shard(s)",
-        cells,
-        _assemble_shards,
-    )
-
-
-def run_sharded_deployment(
-    node_count: int,
-    shard_count: int = 4,
-    *,
-    seed: int = 0,
-    routing: str = "flat",
-    deployment: str = "grid",
-    jobs: int = 1,
-    cache_dir: Optional[Path] = None,
-    progress: Optional[Callable[[str], None]] = None,
-) -> RunResult:
-    """Partition a giant deployment into per-subtree shards and fan them out.
-
-    The sharded counterpart of :func:`run_experiments` for deployments too
-    large to want in one process: each shard worker rebuilds the topology,
-    derives the same deterministic subtree partition, and accounts its own
-    slice; the results merge through the content-addressed cache and the
-    completeness-gated assembler regardless of worker count or completion
-    order.  Returns a single-series :class:`RunResult`.
-    """
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1: {jobs}")
-    spec = deployment_shard_spec(
-        node_count, shard_count, seed=seed, routing=routing, deployment=deployment
-    )
-    fingerprint = code_fingerprint()
-    registry = MetricsRegistry()
-    cache = (
-        ResultCache(cache_dir, registry=registry)
-        if cache_dir is not None
-        else None
-    )
-    previous_env = os.environ.get(CACHE_DIR_ENV)
-    if cache is not None:
-        os.environ[CACHE_DIR_ENV] = str(cache_dir)
-    try:
-        results = _run_cells(spec.cells, jobs, cache, fingerprint, progress)
-    finally:
-        if cache is not None:
-            if previous_env is None:
-                os.environ.pop(CACHE_DIR_ENV, None)
-            else:
-                os.environ[CACHE_DIR_ENV] = previous_env
-    by_cell = {id(result.cell): result for result in results}
-    ordered = [by_cell[id(cell)] for cell in spec.cells]
-    series = [spec.assemble([by_cell[id(cell)].series for cell in spec.cells])]
-    manifest = _build_manifest(
-        [spec], ordered, fingerprint, jobs, cache_dir, registry
-    )
-    return RunResult(series=series, results=ordered, manifest=manifest)
 
 
 def _fig14_node_counts(node_count: int) -> List[int]:
@@ -570,9 +424,8 @@ def experiment_specs(node_count: Optional[int] = None) -> Dict[str, ExperimentSp
         "scale ladder: build, tree formation and join cost vs network size",
         "scale_study",
         [
-            {"node_counts": [c], "routings": [r], "seed": 0}
+            {"node_counts": [c], "seed": 0}
             for c in scale_node_counts(n)
-            for r in ("flat", "cluster")
         ],
     )
     return specs

@@ -36,7 +36,7 @@ from ..data.relations import SensorWorld
 from ..joins.runner import run_snapshot
 from ..query.parser import parse_query
 from ..query.query import JoinQuery
-from ..routing.cluster import build_routing_tree
+from ..routing.ctp import build_tree
 from ..routing.tree import RoutingTree
 from ..sim.network import DeploymentConfig, Network, deploy_uniform
 from ..sim.radio import PacketFormat
@@ -96,7 +96,7 @@ class Scenario:
 @lru_cache(maxsize=16)
 def _cached_scenario(
     node_count: int, seed: int, packet_bytes: int, length_scale: float,
-    loss_rate: float, routing: str,
+    loss_rate: float,
 ) -> Scenario:
     base = DeploymentConfig()  # paper density
     config = base.scaled(node_count)
@@ -106,13 +106,12 @@ def _cached_scenario(
         radio_range_m=config.radio_range_m,
         seed=seed,
         loss_rate=loss_rate,
-        routing=routing,
     )
     network = deploy_uniform(config, packet_format=PacketFormat(packet_bytes))
     world = SensorWorld.homogeneous(
         network, seed=seed, area_side_m=config.area_side_m, length_scale=length_scale
     )
-    tree = build_routing_tree(network, routing=config.routing, seed=seed)
+    tree = build_tree(network, seed=seed)
     return Scenario(network, world, tree, config, seed)
 
 
@@ -122,19 +121,11 @@ def build_scenario(
     packet_bytes: int = constants.DEFAULT_MAX_PACKET_BYTES,
     length_scale: float = 150.0,
     loss_rate: float = 0.0,
-    routing: str = "flat",
 ) -> Scenario:
-    """A deployment at the paper's density (cached per parameter set).
-
-    ``routing`` selects the tree-construction mode (``"flat"`` CTP vs
-    ``"cluster"`` grid-head routing) and is carried on the scenario's
-    :class:`~repro.sim.network.DeploymentConfig`.
-    """
+    """A deployment at the paper's density (cached per parameter set)."""
     if node_count is None:
         node_count = default_node_count()
-    return _cached_scenario(
-        node_count, seed, packet_bytes, length_scale, loss_rate, routing
-    )
+    return _cached_scenario(node_count, seed, packet_bytes, length_scale, loss_rate)
 
 
 def ratio_query_builder(

@@ -1,12 +1,6 @@
 """Routing substrate: collection tree (CTP-style), beaconing, flooding."""
 
 from .beacons import BeaconConfig, BeaconProtocol
-from .cluster import (
-    ROUTING_MODES,
-    ClusterLayout,
-    build_cluster_tree,
-    build_routing_tree,
-)
 from .ctp import RepairReport, build_tree, repair_tree
 from .dissemination import QUERY_DISSEMINATION_PHASE, flood_query
 from .tree import RoutingTree
@@ -14,13 +8,9 @@ from .tree import RoutingTree
 __all__ = [
     "BeaconConfig",
     "BeaconProtocol",
-    "ClusterLayout",
     "QUERY_DISSEMINATION_PHASE",
-    "ROUTING_MODES",
     "RepairReport",
     "RoutingTree",
-    "build_cluster_tree",
-    "build_routing_tree",
     "build_tree",
     "flood_query",
     "repair_tree",

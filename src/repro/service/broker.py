@@ -79,8 +79,7 @@ from ..obs.timeseries import MetricsSampler, WindowedAggregate
 # binding of it, and perfbench/test_perfbench.py checks this one.
 from ..query.evaluate import JoinResult, evaluate_join  # noqa: F401
 from ..query.query import JoinQuery
-from ..routing.cluster import build_routing_tree
-from ..routing.ctp import reattach_tree
+from ..routing.ctp import build_tree, reattach_tree
 from ..routing.dissemination import flood_batch, flood_query
 from ..routing.tree import RoutingTree
 from ..sim.faults import (
@@ -207,10 +206,6 @@ class BrokerConfig:
     disseminate_queries: bool = False
     deadline: Optional[DeadlinePolicy] = None
     admission_depth: Optional[int] = None
-    #: Routing-tree construction mode used when no explicit tree is passed
-    #: to the broker: ``"flat"`` min-hop CTP or ``"cluster"`` grid-head
-    #: routing (:mod:`repro.routing.cluster`).
-    routing: str = "flat"
 
     def __post_init__(self) -> None:
         if self.concurrency < 1:
@@ -219,8 +214,6 @@ class BrokerConfig:
             raise ValueError(
                 f"admission_depth must be >= 0, got {self.admission_depth}"
             )
-        if self.routing not in ("flat", "cluster"):
-            raise ValueError(f"unknown routing mode: {self.routing!r}")
 
 
 @dataclass
@@ -323,11 +316,7 @@ class QueryBroker:
         self.network = network
         self.world = world
         self.config = config
-        self.tree = (
-            tree
-            if tree is not None
-            else build_routing_tree(network, routing=config.routing, seed=tree_seed)
-        )
+        self.tree = tree if tree is not None else build_tree(network, seed=tree_seed)
         self.telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
         self.tracer = self.telemetry.tracer
         self.tree_seed = tree_seed

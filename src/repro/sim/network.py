@@ -103,10 +103,6 @@ class DeploymentConfig:
     #: Worst-link packet-loss probability (see :class:`LinkQuality`).  Zero
     #: keeps the whole loss/ARQ layer switched off.
     loss_rate: float = 0.0
-    #: Routing-tree construction mode: ``"flat"`` = plain min-hop CTP tree,
-    #: ``"cluster"`` = grid-cell cluster heads aggregating into the CTP
-    #: backbone (see :mod:`repro.routing.cluster`).
-    routing: str = "flat"
 
     def __post_init__(self) -> None:
         if self.node_count < 2:
@@ -115,8 +111,6 @@ class DeploymentConfig:
             raise ValueError("area side and radio range must be positive")
         if not 0.0 <= self.loss_rate < 1.0:
             raise ValueError(f"loss_rate must be in [0, 1), got {self.loss_rate}")
-        if self.routing not in ("flat", "cluster"):
-            raise ValueError(f"unknown routing mode: {self.routing!r}")
 
     def scaled(self, node_count: int) -> "DeploymentConfig":
         """Same density, different node count (the Fig. 14 sweep).
@@ -133,7 +127,6 @@ class DeploymentConfig:
             seed=self.seed,
             base_station_position=None,
             loss_rate=self.loss_rate,
-            routing=self.routing,
         )
 
 

@@ -44,11 +44,7 @@ Cell = Tuple[int, int]
 
 
 def grid_cell(x: float, y: float, cell_m: float) -> Cell:
-    """Cell coordinates of point ``(x, y)`` on a grid of pitch ``cell_m``.
-
-    Shared by the index and the cluster-head routing layer so both agree on
-    cell membership (heads are elected per occupied grid cell).
-    """
+    """Cell coordinates of point ``(x, y)`` on a grid of pitch ``cell_m``."""
     return (math.floor(x / cell_m), math.floor(y / cell_m))
 
 

@@ -48,7 +48,6 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
         shrink_failures=not args.no_shrink,
         progress=print,
         churn_rate=args.churn,
-        routing=args.routing,
         large=args.large,
     )
     print(
@@ -98,7 +97,6 @@ def _cmd_list(_args: argparse.Namespace) -> int:
         + " (--large)"
     )
     print("  relations:   self (sensors x sensors), two (rel_a x rel_b)")
-    print("  routing:     flat (CTP), cluster (grid-cell heads)")
     print("  faults:      node-crash, link-drop, loss-burst (des-sensjoin only)")
     print("  churn:       seeded departure/rejoin churn rate (des-sensjoin only)")
     return 0
@@ -130,12 +128,6 @@ def main(argv=None) -> int:
         metavar="RATE",
         help="pin the churn departure fraction of des-sensjoin trials "
         "(restricts the engine list to des-sensjoin unless --engines is given)",
-    )
-    p_fuzz.add_argument(
-        "--routing",
-        choices=["flat", "cluster"],
-        default=None,
-        help="pin the routing-tree mode (default: ~1 in 4 trials use cluster)",
     )
     p_fuzz.add_argument(
         "--large",

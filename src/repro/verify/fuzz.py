@@ -60,7 +60,6 @@ def fuzz(
     execute: Callable[[TrialSpec], TrialReport] = run_trial,
     progress: Optional[Callable[[str], None]] = None,
     churn_rate: Optional[float] = None,
-    routing: Optional[str] = None,
     large: bool = False,
 ) -> FuzzReport:
     """Run ``trials`` seeded trials; shrink and save every failure.
@@ -68,15 +67,12 @@ def fuzz(
     ``execute`` is injectable for tests (e.g. to count executions); the
     default runs real trials.  ``progress`` receives one line per trial.
     ``churn_rate`` pins the churn axis of every ``des-sensjoin`` trial
-    (``None`` leaves it to the planner's random draw); ``routing`` pins the
-    routing-mode axis the same way, and ``large=True`` plans trials on the
-    2k-node large-deployment ladder.
+    (``None`` leaves it to the planner's random draw), and ``large=True``
+    plans trials on the 2k-node large-deployment ladder.
     """
     say = progress if progress is not None else lambda line: None
     report = FuzzReport(trials=trials, seed=seed, engines=tuple(engines))
-    specs = plan_trials(
-        trials, seed, engines, churn_rate=churn_rate, routing=routing, large=large
-    )
+    specs = plan_trials(trials, seed, engines, churn_rate=churn_rate, large=large)
     for index, spec in enumerate(specs):
         trial_report = execute(spec)
         if trial_report.passed:

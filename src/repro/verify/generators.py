@@ -28,7 +28,7 @@ from ..codec.quadtree import FlaggedPoint, QuadtreeCodec
 from ..data.relations import SensorWorld
 from ..query.parser import parse_query
 from ..query.query import JoinQuery
-from ..routing.cluster import ROUTING_MODES, build_routing_tree
+from ..routing.ctp import build_tree
 from ..routing.tree import RoutingTree
 from ..sim.faults import ChurnModel, Fault, FaultPlan, LINK_DROP, LOSS_BURST, NODE_CRASH
 from ..sim.network import DeploymentConfig, Network, deploy_grid, deploy_uniform
@@ -69,8 +69,8 @@ DEPLOYMENTS: Tuple[str, ...] = ("grid", "uniform")
 NODE_LADDER: Tuple[int, ...] = (12, 16, 24, 32, 48)
 
 #: The large-deployment axis (``plan_trials(..., large=True)``): a node
-#: ladder up to 2k that drives the grid spatial index and the cluster
-#: routing mode through deployment sizes the dense O(n²) build never saw.
+#: ladder up to 2k that drives the grid spatial index through deployment
+#: sizes the dense O(n²) build never saw.
 #: The shrinker bisects failures from here back down towards NODE_LADDER.
 LARGE_NODE_LADDER: Tuple[int, ...] = (128, 256, 512, 1024, 2048)
 
@@ -176,11 +176,6 @@ class TrialSpec:
     #: rejoins at jittered positions) merged into the trial's fault schedule.
     churn_rate: float = 0.0
     drift_rate: float = 0.0
-    #: Routing-tree construction mode; ``"cluster"`` layers grid-cell heads
-    #: over the CTP backbone (every engine runs on either tree shape, and
-    #: the oracle is tree-independent — so the full invariant catalogue
-    #: fuzzes the cluster mode for free).
-    routing: str = "flat"
     check_determinism: bool = False
 
     def __post_init__(self) -> None:
@@ -188,10 +183,6 @@ class TrialSpec:
             raise ValueError(f"unknown engine {self.engine!r}; known: {ENGINES}")
         if self.deployment not in DEPLOYMENTS:
             raise ValueError(f"unknown deployment {self.deployment!r}")
-        if self.routing not in ROUTING_MODES:
-            raise ValueError(
-                f"unknown routing mode {self.routing!r}; known: {ROUTING_MODES}"
-            )
         templates = templates_for(self.relations)
         if not 0 <= self.template < len(templates):
             raise ValueError(
@@ -231,6 +222,14 @@ class TrialSpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> "TrialSpec":
+        # Artifacts may record a routing-tree mode.  Trials run on the flat
+        # CTP tree only, so any other mode would replay a different trial:
+        # refuse it rather than drop the key.
+        if data.get("routing", "flat") != "flat":
+            raise ValueError(
+                f"spec key 'routing' is {data['routing']!r}; "
+                "only 'flat' routing can be replayed"
+            )
         known = {f for f in cls.__dataclass_fields__}  # type: ignore[attr-defined]
         return cls(**{k: v for k, v in data.items() if k in known})
 
@@ -253,8 +252,6 @@ class TrialSpec:
             parts.append(f"churn={self.churn_rate:g}")
         if self.drift_rate:
             parts.append(f"drift={self.drift_rate:g}")
-        if self.routing != "flat":
-            parts.append(self.routing)
         if self.check_determinism:
             parts.append("det")
         return " ".join(parts)
@@ -270,7 +267,6 @@ def plan_trials(
     master_seed: int,
     engines: Sequence[str] = ENGINES,
     churn_rate: Optional[float] = None,
-    routing: Optional[str] = None,
     large: bool = False,
 ) -> List[TrialSpec]:
     """Derive ``count`` specs from one master seed — pure and stable.
@@ -278,28 +274,23 @@ def plan_trials(
     Engines cycle round-robin (so small runs still cover all of them);
     every other axis is drawn from a single ``random.Random(master_seed)``
     stream, which makes the full trial list a deterministic function of
-    ``(count, master_seed, engines, churn_rate, routing, large)``.
+    ``(count, master_seed, engines, churn_rate, large)``.
 
     ``churn_rate`` pins the churn axis: ``None`` draws it randomly for
     ``des-sensjoin`` trials (the only engine that replays in-flight churn);
     a number forces exactly that rate onto every ``des-sensjoin`` spec —
     pair it with ``engines=("des-sensjoin",)`` for a churn-only smoke.
 
-    ``routing`` pins the routing-mode axis; ``None`` derives it from the
-    per-trial seed (~1 in 4 trials run on the cluster tree) *without*
-    consuming the rng stream, so turning the axis on did not reshuffle the
-    historical trial matrix.  ``large=True`` swaps the node ladder for
-    :data:`LARGE_NODE_LADDER` (up to 2k nodes) — the deployment axis that
-    drives the spatial grid index at scales the dense build never ran; the
-    determinism double-run is skipped there to keep the smoke affordable.
+    ``large=True`` swaps the node ladder for :data:`LARGE_NODE_LADDER` (up
+    to 2k nodes) — the deployment axis that drives the spatial grid index
+    at scales the dense build never ran; the determinism double-run is
+    skipped there to keep the smoke affordable.
     """
     if count < 0:
         raise ValueError(f"negative trial count: {count}")
     for engine in engines:
         if engine not in ENGINES:
             raise ValueError(f"unknown engine {engine!r}; known: {ENGINES}")
-    if routing is not None and routing not in ROUTING_MODES:
-        raise ValueError(f"unknown routing mode {routing!r}; known: {ROUTING_MODES}")
     ladder = LARGE_NODE_LADDER if large else NODE_LADDER
     rng = random.Random(master_seed)
     specs: List[TrialSpec] = []
@@ -334,11 +325,6 @@ def plan_trials(
             drift = rng.choice((0.0, 0.001))
         check_det = rng.random() < 0.25 and not large
         seed = rng.randrange(1 << 30)
-        # Derived from the seed rather than drawn, so adding this axis kept
-        # every pre-existing trial's other fields byte-identical.
-        trial_routing = (
-            routing if routing is not None else ("cluster" if seed % 4 == 0 else "flat")
-        )
         specs.append(
             TrialSpec(
                 seed=seed,
@@ -354,7 +340,6 @@ def plan_trials(
                 burst_count=bursts,
                 churn_rate=churn,
                 drift_rate=drift,
-                routing=trial_routing,
                 check_determinism=check_det,
             )
         )
@@ -387,7 +372,6 @@ def _deployment_config(spec: TrialSpec) -> DeploymentConfig:
             radio_range_m=50.0,
             seed=spec.seed,
             loss_rate=spec.loss_rate,
-            routing=spec.routing,
         )
     # Uniform random at the paper's density.
     scaled = DeploymentConfig().scaled(spec.node_count)
@@ -397,7 +381,6 @@ def _deployment_config(spec: TrialSpec) -> DeploymentConfig:
         radio_range_m=scaled.radio_range_m,
         seed=spec.seed,
         loss_rate=spec.loss_rate,
-        routing=spec.routing,
     )
 
 
@@ -419,7 +402,7 @@ def build_trial(spec: TrialSpec) -> TrialSetup:
         world = SensorWorld.two_relations(
             network, split=0.5, seed=spec.seed, area_side_m=config.area_side_m
         )
-    tree = build_routing_tree(network, routing=spec.routing, seed=spec.seed)
+    tree = build_tree(network, seed=spec.seed)
     query = parse_query(spec.query_sql(), world.catalog)
     return TrialSetup(
         spec=spec,

@@ -83,8 +83,6 @@ def _candidates(spec: TrialSpec, invariant: str) -> Iterator[Tuple[str, TrialSpe
             template=spec.template - 1,
             threshold=template.default_threshold,
         )
-    if spec.routing != "flat":
-        yield f"routing {spec.routing} -> flat", replace(spec, routing="flat")
     if spec.drift_rate:
         yield "drift_rate -> 0", replace(spec, drift_rate=0.0)
     if spec.check_determinism and invariant != "deterministic-replay":

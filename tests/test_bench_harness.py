@@ -15,12 +15,9 @@ from repro.bench.cache import (
 )
 from repro.bench.harness import (
     _assemble_loss,
-    _assemble_shards,
     _assemble_variance,
-    deployment_shard_spec,
     experiment_specs,
     run_experiments,
-    run_sharded_deployment,
     select_specs,
 )
 from repro.bench.reporting import ExperimentSeries
@@ -68,6 +65,13 @@ class TestRegistry:
         assert len(specs["variance"].cells) == 5
         assert len(specs["loss"].cells) == 5
         assert len(specs["fig16"].cells) == 1
+
+    def test_scale_experiment_registered_with_ladder_cells(self):
+        from repro.bench.experiments import scale_node_counts
+
+        scale = experiment_specs(600)["scale"]
+        counts = [cell.call_kwargs["node_counts"][0] for cell in scale.cells]
+        assert counts == scale_node_counts(600) == [1000, 5000, 10000]
 
     def test_select_by_glob(self):
         specs = experiment_specs(NODES)
@@ -342,117 +346,3 @@ class TestZeroCellGuards:
         monkeypatch.setattr(harness, "experiment_specs", fake_specs)
         with pytest.raises(ValueError, match="zero cells: hollow"):
             run_experiments(None, node_count=NODES)
-
-
-class TestSharding:
-    """Sharded deployments: deterministic partition, gated merge."""
-
-    def test_scale_experiment_registered_with_ladder_cells(self):
-        from repro.bench.experiments import scale_node_counts
-
-        specs = experiment_specs(600)
-        scale = specs["scale"]
-        assert len(scale.cells) == len(scale_node_counts(600)) * 2
-        counts = [cell.call_kwargs["node_counts"][0] for cell in scale.cells]
-        assert sorted(set(counts)) == [1000, 5000, 10000]
-        routings = {cell.call_kwargs["routings"][0] for cell in scale.cells}
-        assert routings == {"flat", "cluster"}
-
-    def test_shard_spec_cells_are_pinned_and_picklable(self):
-        spec = deployment_shard_spec(400, shard_count=3, seed=2, routing="cluster")
-        assert len(spec.cells) == 3
-        for index, cell in enumerate(spec.cells):
-            kwargs = cell.call_kwargs
-            assert kwargs["shard_index"] == index
-            assert kwargs["shard_count"] == 3
-            assert kwargs["node_count"] == 400
-            assert kwargs["routing"] == "cluster"
-            pickle.dumps(cell)
-            json.dumps(kwargs)
-
-    def test_bad_shard_count_rejected(self):
-        with pytest.raises(ValueError, match="shard_count"):
-            deployment_shard_spec(400, shard_count=0)
-
-    def test_merge_invariant_under_shard_count(self):
-        """Totals are identical however the deployment is partitioned."""
-        from repro.bench.experiments import scale_shard
-
-        merged = {}
-        for shard_count in (1, 3):
-            parts = [
-                scale_shard(300, seed=0, shard_index=i, shard_count=shard_count)
-                for i in range(shard_count)
-            ]
-            series = _assemble_shards(parts)
-            totals = series.rows[-1]
-            col = series.columns.index
-            assert totals[col("shard")] == -1
-            merged[shard_count] = (
-                totals[col("nodes")],
-                totals[col("subtrees")],
-                totals[col("max_depth")],
-                totals[col("tx_packets")],
-                totals[col("energy")],
-                totals[col("id_sum")],
-            )
-        assert merged[1] == merged[3]
-        assert merged[1][0] == 300
-        assert merged[1][5] == 300 * 301 // 2
-
-    def test_merge_gate_catches_missing_shard(self):
-        from repro.bench.experiments import scale_shard
-
-        parts = [
-            scale_shard(300, seed=0, shard_index=i, shard_count=3)
-            for i in range(3)
-        ]
-        with pytest.raises(ProtocolError, match="shard cells disagree"):
-            _assemble_shards(parts[:2])
-
-    def test_merge_gate_catches_duplicated_shard(self):
-        from repro.bench.experiments import scale_shard
-
-        parts = [
-            scale_shard(300, seed=0, shard_index=i, shard_count=3)
-            for i in range(3)
-        ]
-        parts[1] = parts[0]  # same slice twice, one slice lost
-        with pytest.raises(ProtocolError, match="merge incomplete"):
-            _assemble_shards(parts)
-
-    def test_scale_shard_validation(self):
-        from repro.bench.experiments import scale_shard
-
-        with pytest.raises(ValueError, match="shard_index"):
-            scale_shard(100, shard_index=4, shard_count=4)
-        with pytest.raises(ValueError, match="deployment"):
-            scale_shard(100, deployment="ring")
-
-    def test_run_sharded_deployment_caches_and_merges(self, tmp_path):
-        cold = run_sharded_deployment(
-            300, 2, seed=0, jobs=1, cache_dir=tmp_path / "cache"
-        )
-        warm = run_sharded_deployment(
-            300, 2, seed=0, jobs=1, cache_dir=tmp_path / "cache"
-        )
-        assert cold.manifest["cached_cells"] == 0
-        assert warm.manifest["cached_cells"] == 2
-        assert cold.series[0].rows == warm.series[0].rows
-        # 2 shard rows + the merge row.
-        assert len(cold.series[0].rows) == 3
-
-    def test_shard_cli_smoke(self, tmp_path, capsys):
-        code = bench_main(
-            [
-                "shard", "--nodes", "200", "--shards", "2",
-                "--results-dir", str(tmp_path),
-            ]
-        )
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "200 nodes over 2 shard(s)" in out
-        assert (tmp_path / "shard.csv").exists()
-        assert (tmp_path / "shard_manifest.json").exists()
-        manifest = json.loads((tmp_path / "shard_manifest.json").read_text())
-        assert manifest["shard_count"] == 2

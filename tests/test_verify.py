@@ -8,7 +8,6 @@ bug is present — and not reproduced once the mutation is reverted.
 """
 
 import json
-from dataclasses import replace
 
 import pytest
 
@@ -231,6 +230,31 @@ class TestArtifacts:
         with pytest.raises(TraceFormatError, match="JSON"):
             ReproArtifact.load(path)
 
+    def test_recorded_routing_replays_only_when_flat(self, tmp_path):
+        """Older artifacts carry a ``routing`` key: flat replays unchanged,
+        any other tree shape is refused instead of replayed on the flat tree."""
+        spec = TrialSpec(seed=5, engine="sens-join", node_count=12)
+        data = ReproArtifact(
+            invariant="engine-matches-oracle", message="recorded", spec=spec
+        ).to_dict()
+        path = tmp_path / "old.json"
+
+        data["spec"]["routing"] = "flat"
+        path.write_text(json.dumps(data))
+        loaded = ReproArtifact.load(path)
+        assert loaded.spec == spec
+        outcome = replay(loaded)
+        assert outcome.report.passed
+        assert (
+            outcome.report.execution.fingerprint
+            == run_trial(spec).execution.fingerprint
+        )
+
+        data["spec"]["routing"] = "cluster"
+        path.write_text(json.dumps(data))
+        with pytest.raises(ValueError, match="'routing' is 'cluster'"):
+            ReproArtifact.load(path)
+
 
 class TestCli:
     def test_list_exits_zero(self, capsys):
@@ -265,32 +289,7 @@ class TestInvariantCatalogue:
 
 
 class TestScaleAxes:
-    """The large-deployment ladder and the routing-mode trial axis."""
-
-    def test_routing_derived_from_seed_without_rng_consumption(self):
-        specs = plan_trials(40, 0)
-        for spec in specs:
-            expected = "cluster" if spec.seed % 4 == 0 else "flat"
-            assert spec.routing == expected
-        assert {spec.routing for spec in specs} == {"flat", "cluster"}
-
-    def test_routing_pin_applies_to_every_trial(self):
-        for mode in ("flat", "cluster"):
-            specs = plan_trials(12, 3, routing=mode)
-            assert {spec.routing for spec in specs} == {mode}
-
-    def test_routing_axis_does_not_reshuffle_other_fields(self):
-        """Turning the axis on must not have consumed the rng stream."""
-        derived = plan_trials(15, 7)
-        pinned = plan_trials(15, 7, routing="flat")
-        for a, b in zip(derived, pinned):
-            assert replace(a, routing="flat") == b
-
-    def test_unknown_routing_rejected(self):
-        with pytest.raises(ValueError, match="unknown routing mode"):
-            TrialSpec(seed=0, engine="sens-join", routing="mesh")
-        with pytest.raises(ValueError, match="unknown routing"):
-            plan_trials(4, 0, routing="mesh")
+    """The large-deployment ladder."""
 
     def test_large_ladder_swaps_node_counts(self):
         from repro.verify.generators import LARGE_NODE_LADDER, NODE_LADDER
@@ -302,19 +301,6 @@ class TestScaleAxes:
         assert max(s.node_count for s in large) > max(NODE_LADDER)
         # The determinism double-run is skipped on the large ladder.
         assert not any(s.check_determinism for s in large)
-
-    def test_describe_mentions_cluster_routing(self):
-        spec = TrialSpec(seed=0, engine="sens-join", routing="cluster")
-        assert "cluster" in spec.describe()
-        assert "cluster" not in TrialSpec(seed=0, engine="sens-join").describe()
-
-    def test_cluster_trial_passes_invariants(self):
-        spec = TrialSpec(
-            seed=5, engine="sens-join", node_count=24, routing="cluster"
-        )
-        report = run_trial(spec)
-        assert report.passed, report.violations
-
 
 class TestScaleShrinking:
     def test_shrink_bisects_node_count(self):
@@ -335,36 +321,3 @@ class TestScaleShrinking:
         assert any("bisect" in step for step in result.steps)
         # Logarithmic convergence: far fewer attempts than a walk from 2k.
         assert result.attempts <= 30
-
-    def test_shrink_drops_cluster_routing_when_irrelevant(self):
-        def execute(spec):
-            violations = (
-                [Violation("engine-matches-oracle", "boom")] if spec.loss_rate else []
-            )
-            return TrialReport(spec=spec, violations=violations)
-
-        original = TrialSpec(
-            seed=1,
-            engine="sens-join",
-            node_count=48,
-            loss_rate=0.2,
-            routing="cluster",
-        )
-        result = shrink(execute(original), execute=execute)
-        assert result.spec.routing == "flat"
-        assert result.spec.loss_rate == 0.2
-
-    def test_shrink_keeps_cluster_routing_when_load_bearing(self):
-        def execute(spec):
-            violations = (
-                [Violation("engine-matches-oracle", "boom")]
-                if spec.routing == "cluster"
-                else []
-            )
-            return TrialReport(spec=spec, violations=violations)
-
-        original = TrialSpec(
-            seed=1, engine="sens-join", node_count=48, routing="cluster"
-        )
-        result = shrink(execute(original), execute=execute)
-        assert result.spec.routing == "cluster"
