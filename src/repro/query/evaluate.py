@@ -4,11 +4,15 @@ Two evaluators live here, both driven by the same query AST:
 
 :func:`evaluate_join`
     **Exact** n-way join over full tuples (raw sensor values).  Used for the
-    final result computation of both SENS-Join and the external join.  It is
-    a vectorised nested-loop join: aliases are bound one at a time, every
-    join conjunct is applied as soon as all the aliases it references are
-    bound (early pruning), and all arithmetic runs in numpy over index
-    arrays — thousands of tuples join in milliseconds.
+    final result computation of every join method and for the lossless
+    oracle.  Aliases are bound one at a time, and every join conjunct fires
+    as soon as all the aliases it references are bound.  Each binding step
+    reuses the §IV-A interval classification on raw tuples: both sides are
+    sorted on a join attribute and cut into blocks, each block's
+    ``[min, max]`` per attribute is classified with the conjuncts'
+    :meth:`~repro.query.expressions.Predicate.masks`, and only tuple pairs
+    of *possible* block pairs are evaluated exactly.  The work is
+    proportional to the candidates, not to the cross product.
 
 :func:`conservative_semijoin`
     **Conservative** n-way semi-join over quantization-cell intervals.  Used
@@ -19,18 +23,19 @@ Two evaluators live here, both driven by the same query AST:
     the quantized relations.
 
 Both share :class:`Row` — one tuple with its originating node id — and the
-incremental binding engine :func:`_expand_combinations`.
+conjunct schedule :func:`_conjunct_schedule`.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
 from ..errors import EvaluationError, QueryError
-from .expressions import Aggregate, ColumnRef, Predicate
+from .expressions import Aggregate, ArrayEnv, ColumnRef, Predicate
 from .query import JoinQuery
 
 __all__ = ["Row", "JoinResult", "evaluate_join", "conservative_semijoin", "CellBounds"]
@@ -217,7 +222,8 @@ def evaluate_join(
         raw snapshots leave the default.
     """
     aliases = query.aliases
-    working: Dict[str, List[Row]] = {}
+    select_refs = {ref for item in query.select for ref in item.payload.columns()}
+    columns: Dict[str, _Columns] = {}
     for alias in aliases:
         rows = list(tuples_by_alias.get(alias, ()))
         if apply_selections:
@@ -229,28 +235,21 @@ def evaluate_join(
                         {(alias, name): value for name, value in row.values.items()}
                     )
                 ]
-        working[alias] = rows
+        select_attrs = {attr for ref_alias, attr in select_refs if ref_alias == alias}
+        columns[alias] = _Columns.of(rows, select_attrs.union(_attrs_needed(query, alias)))
 
-    combos = _expand_exact(query, aliases, working)
+    combos = _expand_exact(query, aliases, columns)
     match_count = combos.shape[0]
 
     # SELECT evaluation over the surviving combinations, vectorised.
     env: Dict[ColumnRef, np.ndarray] = {}
     node_combos = np.zeros((match_count, len(aliases)), dtype=int)
     for position, alias in enumerate(aliases):
-        rows = working[alias]
-        indices = combos[:, position] if match_count else np.zeros(0, dtype=int)
-        node_ids = np.array([row.node_id for row in rows], dtype=int)
-        node_combos[:, position] = node_ids[indices] if len(rows) else indices
-        referenced_attrs = {
-            attr
-            for item in query.select
-            for ref_alias, attr in item.payload.columns()
-            if ref_alias == alias
-        }
-        for attr in referenced_attrs:
-            column = np.array([row.values[attr] for row in rows], dtype=float)
-            env[(alias, attr)] = column[indices] if len(rows) else np.array([])
+        indices = combos[:, position]
+        node_combos[:, position] = columns[alias].node_ids[indices]
+        for attr, column in columns[alias].values.items():
+            if (alias, attr) in select_refs:
+                env[(alias, attr)] = column[indices]
 
     if query.is_aggregate:
         out_columns: Dict[str, np.ndarray] = {}
@@ -270,19 +269,219 @@ def evaluate_join(
 
     out_columns = {}
     for item in query.select:
-        values = np.broadcast_to(
-            np.asarray(item.payload.values(env), dtype=float), (match_count,)
-        ).astype(float)
+        values = np.asarray(item.payload.values(env), dtype=float)
+        if values.shape != (match_count,):  # a constant: one value per row
+            values = np.broadcast_to(values, (match_count,)).astype(float)
         out_columns[item.name] = values
     return JoinResult(tuple(aliases), node_combos, out_columns)
+
+
+@dataclass(frozen=True)
+class _Columns:
+    """One alias's tuples column-wise: node ids and float attribute arrays.
+
+    Extracted once per alias from the :class:`Row` dicts and shared by the
+    join (its join attributes) and the SELECT evaluation (its output ones).
+    """
+
+    node_ids: np.ndarray
+    values: Dict[str, np.ndarray]
+
+    @classmethod
+    def of(cls, rows: Sequence[Row], attrs: Iterable[str]) -> "_Columns":
+        return cls(
+            np.array([row.node_id for row in rows], dtype=int),
+            {attr: np.array([row.values[attr] for row in rows], dtype=float) for attr in attrs},
+        )
+
+    def __len__(self) -> int:
+        return len(self.node_ids)
+
+
+#: Tuples per block of the exact join's interval classification.
+_BLOCK = 64
+#: Most block pairs one classification grid holds; bigger inputs get
+#: proportionally bigger blocks, so the grid stays a few MB.
+_MAX_BLOCK_PAIRS = 1 << 20
+#: Candidate pairs evaluated per vectorised chunk (bounds temporary memory).
+_CHUNK_CANDIDATES = 1 << 20
+#: Most candidate pairs one binding step may evaluate.  The scale ladder's
+#: 10k-node row (11.8M matches out of 100M pairs) needs ~12.4M.
+_MAX_CANDIDATES = 32_000_000
 
 
 def _expand_exact(
     query: JoinQuery,
     aliases: Sequence[str],
+    columns: Mapping[str, _Columns],
+    max_candidates: int = _MAX_CANDIDATES,
+) -> np.ndarray:
+    """Index combinations satisfying every join conjunct, shape (M, n).
+
+    Rows come in lexicographic index order (alias 0 major), the order of
+    :func:`_reference_expand_exact`'s cross product.  Raises
+    :class:`EvaluationError` when a binding step would evaluate more than
+    ``max_candidates`` tuple pairs.
+    """
+    schedule = _conjunct_schedule(query, aliases)
+    combos = np.zeros((1, 0), dtype=int)  # one empty combination
+    for step, alias in enumerate(aliases, start=1):
+        if len(columns[alias]) == 0 or combos.shape[0] == 0:
+            return np.zeros((0, len(aliases)), dtype=int)
+        conjuncts = [conjunct for fire_step, conjunct in schedule if fire_step == step]
+        refs = sorted({ref for conjunct in conjuncts for ref in conjunct.columns()})
+        bound = {
+            (ref_alias, attr): columns[ref_alias].values[attr][combos[:, aliases.index(ref_alias)]]
+            for ref_alias, attr in refs
+            if ref_alias != alias
+        }
+        new = {(alias, attr): columns[alias].values[attr] for ref_alias, attr in refs if ref_alias == alias}
+        rows, picks = _bind(
+            conjuncts,
+            _Side(bound, combos.shape[0]),
+            _Side(new, len(columns[alias])),
+            max_candidates,
+            alias,
+        )
+        combos = np.concatenate([combos[rows], picks[:, None]], axis=1)
+    return combos
+
+
+@dataclass(frozen=True)
+class _Side:
+    """One side of a binding step: its columns and its row count."""
+
+    values: Dict[ColumnRef, np.ndarray]
+    count: int
+
+
+@dataclass(frozen=True)
+class _Blocks:
+    """One side sorted on a key and cut into blocks of consecutive rows."""
+
+    order: np.ndarray  # sorted position -> row index
+    sorted_values: Dict[ColumnRef, np.ndarray]
+    starts: np.ndarray  # first sorted position of each block
+    sizes: np.ndarray
+    bounds: Dict[ColumnRef, Tuple[np.ndarray, np.ndarray]]  # per-block [min, max]
+
+
+def _block_bounds(sorted_column: np.ndarray, starts: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Each block's ``[min, max]``: the interval every tuple of it lies in."""
+    return np.minimum.reduceat(sorted_column, starts), np.maximum.reduceat(sorted_column, starts)
+
+
+def _sort_keys(side: _Side, block: int) -> List[Optional[ColumnRef]]:
+    """The columns worth sorting ``side`` on; ``None`` keeps its row order.
+
+    A side that fits in one block has a single block whatever its order.
+    """
+    if side.count <= block or not side.values:
+        return [None]
+    return list(side.values)
+
+
+def _cut_blocks(side: _Side, key: Optional[ColumnRef], block: int) -> _Blocks:
+    order = (
+        np.argsort(side.values[key], kind="stable") if key is not None else np.arange(side.count)
+    )
+    starts = np.arange(0, side.count, block)
+    sorted_values = {ref: column[order] for ref, column in side.values.items()}
+    return _Blocks(
+        order=order,
+        sorted_values=sorted_values,
+        starts=starts,
+        sizes=np.diff(np.append(starts, side.count)),
+        bounds={ref: _block_bounds(column, starts) for ref, column in sorted_values.items()},
+    )
+
+
+def _possible_blocks(
+    conjuncts: Sequence[Predicate], left: _Blocks, right: _Blocks
+) -> np.ndarray:
+    """(left blocks, right blocks) mask of pairs some conjunction may hold for."""
+    env: Dict[ColumnRef, Tuple[np.ndarray, np.ndarray]] = {}
+    for ref, (lo, hi) in left.bounds.items():
+        env[ref] = (lo[:, None], hi[:, None])
+    for ref, (lo, hi) in right.bounds.items():
+        env[ref] = (lo[None, :], hi[None, :])
+    possible = np.ones((len(left.starts), len(right.starts)), dtype=bool)
+    for conjunct in conjuncts:
+        possible &= np.broadcast_to(conjunct.masks(env)[0], possible.shape)
+    return possible
+
+
+def _bind(
+    conjuncts: Sequence[Predicate],
+    left: _Side,
+    right: _Side,
+    max_candidates: int,
+    alias: str,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Every (left row, right row) pair satisfying all ``conjuncts``.
+
+    Both sides are sorted on one of their columns and cut into blocks; the
+    pair of sort keys whose block classification leaves the fewest
+    candidate pairs wins.  Only the tuple pairs of possible block pairs are
+    evaluated, exactly, so the result needs the ``possible`` mask to be
+    conservative and nothing else.  Pairs come back in lexicographic
+    (left row, right row) order.
+
+    A zero denominator raises :class:`EvaluationError` only in a candidate
+    pair: pairs of block pairs the classification rules out (any conjunct
+    impossible) are never divided, whichever conjunct divides.
+    """
+    block = max(_BLOCK, math.ceil(math.sqrt(left.count * right.count / _MAX_BLOCK_PAIRS)))
+    left_blocks = [_cut_blocks(left, key, block) for key in _sort_keys(left, block)]
+    right_blocks = [_cut_blocks(right, key, block) for key in _sort_keys(right, block)]
+    best: Optional[Tuple[int, _Blocks, _Blocks, np.ndarray]] = None
+    for lb in left_blocks:
+        for rb in right_blocks:
+            possible = _possible_blocks(conjuncts, lb, rb)
+            candidates = int(lb.sizes @ possible.astype(np.int64) @ rb.sizes)
+            if best is None or candidates < best[0]:
+                best = (candidates, lb, rb, possible)
+    assert best is not None
+    candidates, lb, rb, possible = best
+    if candidates > max_candidates:
+        raise EvaluationError(
+            f"exact join binding alias {alias!r} would evaluate {candidates} "
+            f"candidate pairs (> {max_candidates}); reduce the relations or "
+            "tighten the predicates"
+        )
+
+    block_left, block_right = np.nonzero(possible)
+    lanes = np.arange(block)
+    per_chunk = max(1, _CHUNK_CANDIDATES // (block * block))
+    keys: List[np.ndarray] = []
+    for first in range(0, len(block_left), per_chunk):
+        chunk_left = lb.starts[block_left[first:first + per_chunk]][:, None] + lanes
+        chunk_right = rb.starts[block_right[first:first + per_chunk]][:, None] + lanes
+        shape = (len(chunk_left), block, block)
+        at_left = np.broadcast_to(chunk_left[:, :, None], shape).ravel()
+        at_right = np.broadcast_to(chunk_right[:, None, :], shape).ravel()
+        inside = (at_left < left.count) & (at_right < right.count)
+        at_left, at_right = at_left[inside], at_right[inside]
+        env: ArrayEnv = {
+            **{ref: column[at_left] for ref, column in lb.sorted_values.items()},
+            **{ref: column[at_right] for ref, column in rb.sorted_values.items()},
+        }
+        holds = np.ones(at_left.shape, dtype=bool)
+        for conjunct in conjuncts:
+            holds &= conjunct.values(env)
+        keys.append(lb.order[at_left[holds]] * right.count + rb.order[at_right[holds]])
+    ordered = np.concatenate(keys) if keys else np.zeros(0, dtype=int)
+    keys.clear()  # frees the per-chunk arrays before the in-place sort
+    ordered.sort()
+    return ordered // right.count, ordered % right.count
+
+
+def _reference_expand_exact(
+    query: JoinQuery,
+    aliases: Sequence[str],
     working: Mapping[str, Sequence[Row]],
 ) -> np.ndarray:
-    """Index combinations satisfying every join conjunct, shape (M, n)."""
+    """The cross-product expansion :func:`_expand_exact` replaced (test oracle)."""
     schedule = _conjunct_schedule(query, aliases)
     # Partial environment: (alias, attr) -> value array over partial combos.
     combos = np.zeros((1, 0), dtype=int)  # one empty combination

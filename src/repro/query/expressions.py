@@ -330,6 +330,9 @@ class Div(_Binary):
         return self.left.evaluate(env) / denominator
 
     def values(self, env: ArrayEnv) -> np.ndarray:
+        """Exact quotients; raises :class:`EvaluationError` if any of the
+        given denominators is zero (callers that evaluate only candidate
+        pairs raise only for a zero among those)."""
         denominator = self.right.values(env)
         if np.any(denominator == 0):
             raise EvaluationError(f"division by zero in {self.sql()}")
@@ -342,20 +345,17 @@ class Div(_Binary):
         llo, lhi = self.left.bounds_arrays(env)
         rlo, rhi = self.right.bounds_arrays(env)
         spans_zero = (rlo <= 0) & (rhi >= 0)
-        # Where the denominator avoids zero: reciprocal then multiply.
-        with np.errstate(divide="ignore"):
-            inv_lo = np.where(spans_zero, 1.0, 1.0 / np.where(spans_zero, 1.0, rhi))
-            inv_hi = np.where(spans_zero, 1.0, 1.0 / np.where(spans_zero, 1.0, rlo))
+        # Where the denominator avoids zero: the corner quotients, the
+        # division values() performs, so on point intervals the bounds equal
+        # the exact value bit for bit (l * (1/r) can be one ulp off l / r).
+        safe_lo = np.where(spans_zero, 1.0, rlo)
+        safe_hi = np.where(spans_zero, 1.0, rhi)
         candidates = np.stack(
-            np.broadcast_arrays(llo * inv_lo, llo * inv_hi, lhi * inv_lo, lhi * inv_hi)
+            np.broadcast_arrays(llo / safe_lo, llo / safe_hi, lhi / safe_lo, lhi / safe_hi)
         )
-        lo = candidates.min(axis=0)
-        hi = candidates.max(axis=0)
-        lo = np.where(spans_zero, -np.inf, lo)
-        hi = np.where(spans_zero, np.inf, hi)
-        return np.broadcast_to(lo, np.broadcast_shapes(lo.shape, hi.shape)).copy(), np.broadcast_to(
-            hi, np.broadcast_shapes(lo.shape, hi.shape)
-        ).copy()
+        lo = np.where(spans_zero, -np.inf, candidates.min(axis=0))
+        hi = np.where(spans_zero, np.inf, candidates.max(axis=0))
+        return lo, hi
 
 
 class Distance(Expression):
@@ -383,18 +383,21 @@ class Distance(Expression):
         )
 
     def bounds_arrays(self, env: BoundsEnv) -> Tuple[np.ndarray, np.ndarray]:
-        def axis_square(a: Expression, b: Expression) -> Tuple[np.ndarray, np.ndarray]:
+        # np.hypot over the smallest and largest |difference| per axis, the
+        # function values() applies: on point intervals the bounds equal the
+        # exact value bit for bit (sqrt(dx*dx + dy*dy) can be one ulp off).
+        def axis_gap(a: Expression, b: Expression) -> Tuple[np.ndarray, np.ndarray]:
             alo, ahi = a.bounds_arrays(env)
             blo, bhi = b.bounds_arrays(env)
             dlo = alo - bhi
             dhi = ahi - blo
-            sq_lo = np.where(dlo >= 0, dlo * dlo, np.where(dhi <= 0, dhi * dhi, 0.0))
-            sq_hi = np.maximum(dlo * dlo, dhi * dhi)
-            return sq_lo, sq_hi
+            gap_lo = np.where(dlo >= 0, dlo, np.where(dhi <= 0, -dhi, 0.0))
+            gap_hi = np.maximum(np.abs(dlo), np.abs(dhi))
+            return gap_lo, gap_hi
 
-        x_lo, x_hi = axis_square(self.x1, self.x2)
-        y_lo, y_hi = axis_square(self.y1, self.y2)
-        return np.sqrt(x_lo + y_lo), np.sqrt(x_hi + y_hi)
+        x_lo, x_hi = axis_gap(self.x1, self.x2)
+        y_lo, y_hi = axis_gap(self.y1, self.y2)
+        return np.hypot(x_lo, y_lo), np.hypot(x_hi, y_hi)
 
     def columns(self) -> Set[ColumnRef]:
         result: Set[ColumnRef] = set()

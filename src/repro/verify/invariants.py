@@ -14,6 +14,10 @@ The invariants, in catalogue order:
     Under injected node crashes, link drops, or continuous churn the result
     must be a *subset* of the oracle and the reported recall must equal the
     delivered fraction.
+``exact-join-matches-reference``
+    The base station's block-classified exact join returns the same index
+    array, row for row, as the cross-product reference, on the oracle's
+    input (every node's record of the round).
 ``quantization-conservative``
     Quantization never causes false dismissals: every raw value lies inside
     its cell's decoded bounds, and every oracle match survives the
@@ -39,10 +43,19 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Dict, FrozenSet, List, Optional, Tuple
 
+import numpy as np
+
 from ..codec import setops
 from ..codec import zcurve
 from ..obs import reconcile
-from ..query.evaluate import conservative_semijoin
+from ..query.evaluate import (
+    Row,
+    _attrs_needed,
+    _Columns,
+    _expand_exact,
+    _reference_expand_exact,
+    conservative_semijoin,
+)
 from .generators import random_coordinates, random_flagged_points, random_values
 
 __all__ = ["Invariant", "INVARIANTS", "first_violation", "all_violations"]
@@ -103,6 +116,32 @@ def check_engine_matches_oracle(execution) -> Optional[str]:
                         f"{label}: reported recall {recall} != delivered "
                         f"fraction {expected}"
                     )
+    return None
+
+
+# ---------------------------------------------------------------------------
+# exact-join-matches-reference
+# ---------------------------------------------------------------------------
+
+
+def check_exact_join_matches_reference(execution) -> Optional[str]:
+    query = execution.setup.query
+    aliases = query.aliases
+    for obs in execution.rounds:
+        fmt = obs.tuple_format
+        rows: Dict[str, List[Row]] = {alias: [] for alias in aliases}
+        for record in obs.records:
+            for alias in fmt.aliases_of_flags(record.flags):
+                rows[alias].append(Row(record.node_id, dict(record.values)))
+        columns = {alias: _Columns.of(rows[alias], _attrs_needed(query, alias)) for alias in aliases}
+        got = _expand_exact(query, aliases, columns)
+        want = _reference_expand_exact(query, aliases, rows)
+        if got.shape != want.shape or not np.array_equal(got, want):
+            return (
+                f"round {obs.round_index}: exact join returned {len(got)} "
+                f"combination(s), the cross-product reference {len(want)} "
+                "(or the same ones in another order)"
+            )
     return None
 
 
@@ -319,6 +358,12 @@ INVARIANTS: Dict[str, Invariant] = {
             "Fault-free runs set-equal the lossless oracle; faulted runs are "
             "subsets with exact recall accounting.",
             check_engine_matches_oracle,
+        ),
+        Invariant(
+            "exact-join-matches-reference",
+            "The block-classified exact join returns the cross-product "
+            "reference's combinations in the same order.",
+            check_exact_join_matches_reference,
         ),
         Invariant(
             "quantization-conservative",

@@ -3,12 +3,23 @@
 import itertools
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import QueryError
-from repro.query.evaluate import CellBounds, Row, conservative_semijoin, evaluate_join
+from repro.errors import EvaluationError, QueryError
+from repro.query import evaluate
+from repro.query.evaluate import (
+    CellBounds,
+    Row,
+    _attrs_needed,
+    _Columns,
+    _expand_exact,
+    _reference_expand_exact,
+    conservative_semijoin,
+    evaluate_join,
+)
 from repro.query.parser import parse_query
 
 
@@ -131,6 +142,142 @@ class TestExactJoin:
             if abs(a.values["temp"] - b.values["temp"]) < threshold
         )
         assert sorted(result.combinations) == brute
+
+
+#: Conditions over quarter-step readings, so differences land exactly on the
+#: thresholds (ties) and values repeat.
+TWO_WAY_CONDITIONS = (
+    "A.temp - B.temp >= 2",
+    "A.temp - B.temp > 2",
+    "A.temp - B.temp <= -1.5",
+    "A.temp = B.temp",
+    "A.temp != B.temp",
+    "A.temp - B.temp > 3 OR A.hum = B.hum",
+    "NOT (|A.temp - B.temp| < 1)",
+    "distance(A.x, A.y, B.x, B.y) <= 5",
+    "A.temp - B.temp >= 1 AND distance(A.x, A.y, B.x, B.y) > 4",
+    "A.temp / (B.hum + 1) <= 0.6",
+)
+THREE_WAY_CONDITIONS = (
+    "A.temp - B.temp >= 1 AND B.temp - C.temp >= 1",
+    "A.temp = C.temp AND NOT (A.hum != B.hum)",
+    "A.temp - B.temp > 2 OR distance(B.x, B.y, C.x, C.y) <= 5",
+)
+#: Relation sizes around the 64-tuple block: empty, single-row, smaller
+#: than, equal to and larger than one block.
+TWO_WAY_SIZES = ((0, 7), (7, 0), (1, 1), (1, 150), (40, 64), (65, 130), (200, 150))
+THREE_WAY_SIZES = ((0, 5, 5), (5, 5, 0), (1, 1, 1), (20, 70, 30), (70, 66, 65))
+
+
+def seeded_rows(rng, count, start=1):
+    return [
+        Row(
+            start + index,
+            {
+                "temp": float(rng.integers(0, 48)) / 4,
+                "hum": float(rng.integers(0, 6)),
+                "x": float(rng.integers(0, 12)),
+                "y": float(rng.integers(0, 12)),
+            },
+        )
+        for index in range(count)
+    ]
+
+
+def both_expansions(query, rows_by_alias):
+    """(block-classified expansion, cross-product reference) on one input."""
+    aliases = query.aliases
+    columns = {
+        alias: _Columns.of(rows_by_alias[alias], _attrs_needed(query, alias)) for alias in aliases
+    }
+    return (
+        _expand_exact(query, aliases, columns),
+        _reference_expand_exact(query, aliases, rows_by_alias),
+    )
+
+
+def reference_cases():
+    """Seeded (query, rows by alias) cases covering every condition and size."""
+    for conditions, sizes_list, aliases in (
+        (TWO_WAY_CONDITIONS, TWO_WAY_SIZES, ("A", "B")),
+        (THREE_WAY_CONDITIONS, THREE_WAY_SIZES, ("A", "B", "C")),
+    ):
+        from_clause = ", ".join(f"s {alias}" for alias in aliases)
+        for condition in conditions:
+            query = parse_query(f"SELECT A.temp FROM {from_clause} WHERE {condition} ONCE")
+            for sizes in sizes_list:
+                for seed in range(2):
+                    rng = np.random.default_rng([seed, *sizes])
+                    rows = {
+                        alias: seeded_rows(rng, size, start=1000 * position)
+                        for position, (alias, size) in enumerate(zip(aliases, sizes))
+                    }
+                    yield f"{condition} {sizes} seed {seed}", query, rows
+
+
+class TestExpandExactMatchesReference:
+    """The block-classified join equals the cross product, row for row."""
+
+    @pytest.mark.parametrize("case", list(reference_cases()), ids=lambda case: case[0])
+    def test_same_array_same_order(self, case):
+        _label, query, rows = case
+        got, want = both_expansions(query, rows)
+        assert got.dtype == want.dtype
+        assert got.shape == want.shape
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("op", ["<=", ">="])
+    def test_division_ties_at_threshold_are_kept(self, op):
+        # One row per side, so each block is the point interval of its tuple
+        # and the threshold is that pair's exact quotient.
+        for temp in (quarter / 4 for quarter in range(48)):
+            for hum in range(6):
+                query = parse_query(
+                    f"SELECT A.temp FROM s A, s B WHERE A.temp / (B.hum + 1) {op} "
+                    f"{temp / (hum + 1)!r} ONCE"
+                )
+                rows = {"A": [Row(1, {"temp": temp})], "B": [Row(2, {"hum": float(hum)})]}
+                got, want = both_expansions(query, rows)
+                assert got.tolist() == want.tolist() == [[0, 0]], (temp, hum)
+
+    def test_zero_denominator_raises_only_for_candidate_pairs(self):
+        query = parse_query(
+            "SELECT A.temp FROM s A, s B WHERE A.temp - B.temp > 10 AND A.temp / B.hum > 0 ONCE"
+        )
+        a = [Row(1, {"temp": 0.0})]
+        # The first conjunct rules the only pair out before any division.
+        ruled_out = {"A": a, "B": [Row(2, {"temp": 5.0, "hum": 0.0})]}
+        assert evaluate_join(query, ruled_out).match_count == 0
+        with pytest.raises(EvaluationError, match="division by zero"):
+            _reference_expand_exact(query, ("A", "B"), ruled_out)
+        candidate = {"A": a, "B": [Row(2, {"temp": -20.0, "hum": 0.0})]}
+        with pytest.raises(EvaluationError, match="division by zero"):
+            evaluate_join(query, candidate)
+
+    def test_block_bounds_narrowed_by_one_ulp_are_caught(self, monkeypatch):
+        exact = evaluate._block_bounds
+
+        def narrowed(sorted_column, starts):
+            lo, hi = exact(sorted_column, starts)
+            return np.nextafter(lo, np.inf), np.nextafter(hi, -np.inf)
+
+        monkeypatch.setattr(evaluate, "_block_bounds", narrowed)
+        caught = [
+            label
+            for label, query, rows in reference_cases()
+            if not np.array_equal(*both_expansions(query, rows))
+        ]
+        assert any(label.startswith("A.temp - B.temp >= 2 ") for label in caught)
+
+    def test_budget_raises_with_candidate_count(self):
+        rows = make_rows(range(100))
+        unselective = parse_query("SELECT A.temp FROM s A, s B WHERE A.temp != B.temp ONCE")
+        columns = {alias: _Columns.of(rows, ["temp"]) for alias in ("A", "B")}
+        with pytest.raises(EvaluationError, match="10000 candidate pairs"):
+            _expand_exact(unselective, ("A", "B"), columns, max_candidates=5000)
+        selective = parse_query("SELECT A.temp FROM s A, s B WHERE A.temp - B.temp > 97 ONCE")
+        combos = _expand_exact(selective, ("A", "B"), columns, max_candidates=5000)
+        assert combos.tolist() == [[98, 0], [99, 0], [99, 1]]
 
 
 class TestConservativeSemijoin:

@@ -82,6 +82,35 @@ def test_distance_evaluates_hypot():
     assert expr.sql() == "distance(A.x, A.y, B.x, B.y)"
 
 
+def test_distance_point_bounds_equal_values_bit_for_bit():
+    # sqrt(dx*dx + dy*dy) rounds one ulp above np.hypot on ~8% of inputs,
+    # which would let a point interval exclude its own exact value.
+    expr = Distance(Column("A", "x"), Column("A", "y"), Column("B", "x"), Column("B", "y"))
+    rng = np.random.default_rng(0)
+    a_x, a_y = rng.uniform(-100, 100, 2000), rng.uniform(-100, 100, 2000)
+    zeros = np.zeros(2000)
+    arrays = {("A", "x"): a_x, ("A", "y"): a_y, ("B", "x"): zeros, ("B", "y"): zeros}
+    exact = expr.values(arrays)
+    lo, hi = expr.bounds_arrays({ref: (column, column) for ref, column in arrays.items()})
+    assert np.array_equal(lo, exact) and np.array_equal(hi, exact)
+
+
+def test_div_point_bounds_equal_values_bit_for_bit():
+    # l * (1/r) rounds differently from l / r (3 * (1/5) is one ulp above
+    # 0.6), which would let a point interval exclude its own exact quotient.
+    expr = Div(A_TEMP, B_TEMP)
+    rng = np.random.default_rng(0)
+    numerators = np.concatenate([rng.uniform(-100, 100, 2000), np.arange(-50, 50) / 4])
+    denominators = np.concatenate([rng.uniform(0.5, 50, 2000), np.arange(1, 101) % 7 + 1.0])
+    denominators *= np.where(np.arange(len(denominators)) % 2, 1.0, -1.0)
+    arrays = {("A", "temp"): numerators, ("B", "temp"): denominators}
+    exact = expr.values(arrays)
+    lo, hi = expr.bounds_arrays({ref: (column, column) for ref, column in arrays.items()})
+    assert np.array_equal(lo, exact) and np.array_equal(hi, exact)
+    lo, hi = expr.bounds_arrays({("A", "temp"): (3.0, 3.0), ("B", "temp"): (5.0, 5.0)})
+    assert lo == hi == 3.0 / 5.0
+
+
 def test_compare_all_operators():
     env = scalar_env(a=1.0, b=2.0)
     assert Compare("<", A_TEMP, B_TEMP).evaluate(env)
