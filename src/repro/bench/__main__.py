@@ -17,11 +17,6 @@ Three subcommands (full guide: ``docs/benchmarking.md``):
     Re-render the tables of the last ``run`` from its saved series bundle
     without re-running anything.
 
-``perf`` / ``trend``
-    Time the codec/kernel/e2e hot paths against the latest committed
-    ``BENCH_<n>.json`` snapshot, and render the whole snapshot history as
-    per-kernel sparklines (``trend --check`` validates the history).
-
 Results land under ``--results-dir`` (default ``benchmarks/results``):
 ``<experiment>.csv`` per experiment, ``series.json`` (the lossless bundle
 ``report`` reads), ``run_manifest.json`` (per-cell timings and cache hits),
@@ -219,69 +214,6 @@ def _cmd_report(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_perf(args: argparse.Namespace) -> int:
-    from .perf import cmd_perf  # deferred: keeps `list`/`report` startup light
-
-    return cmd_perf(args)
-
-
-def _cmd_trend(args: argparse.Namespace) -> int:
-    from .ascii_viz import render_sparkline
-    from .perf import snapshot_entries, snapshot_history
-
-    history = snapshot_history(
-        Path(args.results_dir) if args.results_dir else None
-    )
-    if not history:
-        print(
-            "no BENCH_<n>.json snapshots found — run "
-            "`python -m repro.bench perf --save` to start a history",
-            file=sys.stderr,
-        )
-        return 2 if args.check else 0
-    loaded = []
-    for path in history:
-        try:
-            loaded.append((path, snapshot_entries(path)))
-        except ValueError as error:
-            if args.check:
-                # The CI gate: a corrupt or schema-drifted snapshot in the
-                # committed history is an error, not something to paper over.
-                raise
-            print(f"warning: skipping {path.name}: {error}", file=sys.stderr)
-    if args.check:
-        print(f"snapshot history ok: {len(loaded)} snapshot(s) readable")
-    if len(loaded) < 2:
-        print(
-            f"{len(loaded)} readable snapshot(s) — a trend needs at least 2; "
-            "run `python -m repro.bench perf --save` to add a point"
-        )
-        return 0
-
-    # Per-kernel trajectory of the spin-loop-normalized score.  A missing
-    # kernel in one snapshot renders as a gap, not a zero.
-    keys = sorted({key for _, entries in loaded for key in entries})
-    names = [path.name for path, _ in loaded]
-    print(
-        f"perf trajectory over {len(loaded)} snapshots "
-        f"({names[0]} .. {names[-1]}, lower is better):"
-    )
-    key_width = max(len(key) for key in keys)
-    for key in keys:
-        scores = [
-            float(entries[key]["score"]) if key in entries else float("nan")
-            for _, entries in loaded
-        ]
-        finite = [s for s in scores if s == s]
-        first, last = finite[0], finite[-1]
-        change = (last - first) / first * 100.0 if first else 0.0
-        print(
-            f"{key.rjust(key_width)} |{render_sparkline(scores)}| "
-            f"{first:.2f} -> {last:.2f} ({change:+.1f}%)"
-        )
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     """The bench CLI parser (exposed for testing and shell completion)."""
     parser = argparse.ArgumentParser(
@@ -335,31 +267,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     report.add_argument("--results-dir", default=str(DEFAULT_RESULTS_DIR))
     report.set_defaults(handler=_cmd_report)
-
-    perf = commands.add_parser(
-        "perf",
-        help="time codec/kernel/e2e hot paths; write BENCH_<n>.json snapshots",
-    )
-    from .perf import add_perf_arguments
-
-    add_perf_arguments(perf)
-    perf.set_defaults(handler=_cmd_perf)
-
-    trend = commands.add_parser(
-        "trend",
-        help="per-kernel sparklines over the committed BENCH_<n>.json history",
-    )
-    trend.add_argument(
-        "--results-dir",
-        default=None,
-        help="snapshot directory (default: benchmarks/results, repo-anchored)",
-    )
-    trend.add_argument(
-        "--check",
-        action="store_true",
-        help="fail (exit 2) when any snapshot in the history is malformed",
-    )
-    trend.set_defaults(handler=_cmd_trend)
 
     return parser
 

@@ -18,8 +18,7 @@ terminal art good enough to *see* the paper's mechanisms at work:
     Node activity over simulated time from ``(time, node_id)`` pairs — the
     view behind ``python -m repro.obs timeline``.
 :func:`render_sparkline`
-    A one-line min/max-scaled trend strip — the view behind
-    ``python -m repro.bench trend`` and the timeline's per-kind lanes.
+    A one-line min/max-scaled trend strip — the timeline's per-kind lanes.
 
 All renderers rasterise node positions onto a character grid; cells holding
 several nodes show the mean value.

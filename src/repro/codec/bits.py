@@ -10,7 +10,8 @@ Implementation note: :class:`BitWriter` buffers appends as ``(value, width)``
 chunks and assembles the final integer with a balanced pairwise fold in
 :meth:`BitWriter.getvalue` — O(N log N) word operations for an N-bit stream,
 versus the O(N²) of growing one big int by a few bits per append (kept as
-:class:`_ReferenceBitWriter` for the equivalence/perf suites).
+:class:`_ReferenceBitWriter`: ``tests/test_codec_equivalence.py`` pins the
+two equivalent and ``tests/test_reference_speedups.py`` pins the speedup).
 """
 
 from __future__ import annotations
@@ -146,8 +147,8 @@ class _ReferenceBitWriter:
     """The original immediate-fold writer (pre-optimization).
 
     Grows a single big int by ``width`` bits per append — O(N²) word work
-    for an N-bit stream.  Kept as the oracle/baseline for the equivalence
-    tests and ``repro.bench perf``.
+    for an N-bit stream.  Kept as the oracle for the equivalence tests and
+    the baseline of ``tests/test_reference_speedups.py``.
     """
 
     def __init__(self) -> None:
@@ -182,7 +183,10 @@ class _ReferenceBitWriter:
 class _ReferenceBitReader:
     """The original reader (pre-optimization): every read re-derives the
     stream length and value through the :class:`Bits` attributes and shifts
-    the full stream integer.  Kept as the baseline for the perf suite."""
+    the full stream integer.  Kept as the oracle of
+    ``tests/test_codec_equivalence.py``; inside
+    :meth:`~repro.codec.quadtree.QuadtreeCodec._reference_decode` it is part
+    of the decode baseline of ``tests/test_reference_speedups.py``."""
 
     def __init__(self, bits: Bits):
         self._bits = bits

@@ -37,8 +37,9 @@ decision (`strict <` between subdivide and list cost) is byte-for-byte the
 same as the original recursive writer, which is kept as
 :meth:`~QuadtreeCodec._reference_encode` /
 :meth:`~QuadtreeCodec._reference_decode` /
-:meth:`~QuadtreeCodec._reference_encoded_size_bits` and pinned equivalent by
-``tests/test_codec_equivalence.py``.
+:meth:`~QuadtreeCodec._reference_encoded_size_bits`, pinned equivalent by
+``tests/test_codec_equivalence.py`` and slower by
+``tests/test_reference_speedups.py``.
 """
 
 from __future__ import annotations
@@ -344,7 +345,11 @@ class QuadtreeCodec:
     # -- reference implementations (pre-optimization, kept for equivalence) ------
 
     def _reference_encode(self, points: Iterable[FlaggedPoint]) -> Bits:
-        """The original recursive writer-based encoder (oracle/baseline)."""
+        """The original recursive writer-based encoder.
+
+        The oracle of ``tests/test_codec_equivalence.py`` and the baseline of
+        ``tests/test_reference_speedups.py``.
+        """
         packed = sorted({self.pack(point) for point in points})
         if not packed:
             return Bits()
@@ -402,14 +407,22 @@ class QuadtreeCodec:
         return min(list_cost, subdivide_cost)
 
     def _reference_encoded_size_bits(self, points: Iterable[FlaggedPoint]) -> int:
-        """The original recursive size DP (oracle/baseline)."""
+        """The original recursive size DP.
+
+        The oracle of ``tests/test_codec_equivalence.py`` and the baseline of
+        ``tests/test_reference_speedups.py``.
+        """
         packed = sorted({self.pack(point) for point in points})
         if not packed:
             return 0
         return self._node_cost(packed, 0, self.total_bits)
 
     def _reference_decode(self, bits: Bits) -> FrozenSet[FlaggedPoint]:
-        """The original recursive reader-based decoder (oracle/baseline)."""
+        """The original recursive reader-based decoder.
+
+        The oracle of ``tests/test_codec_equivalence.py`` and the baseline of
+        ``tests/test_reference_speedups.py``.
+        """
         if len(bits) == 0:
             return frozenset()
         reader = _ReferenceBitReader(bits)

@@ -19,8 +19,8 @@ precomputed bit-scatter/gather lookup tables processing :data:`CHUNK_BITS`
 source bits per table hit, instead of one Python loop iteration per bit.
 The original per-bit loops are kept as :func:`_reference_interleave` /
 :func:`_reference_deinterleave`; the two implementations are bit-identical
-(pinned by the equivalence suite in ``tests/test_codec_equivalence.py`` and
-timed against each other by ``python -m repro.bench perf``).
+(pinned by the equivalence suite in ``tests/test_codec_equivalence.py``; the
+optimized side's speedup is pinned by ``tests/test_reference_speedups.py``).
 """
 
 from __future__ import annotations
@@ -202,8 +202,8 @@ def _reference_interleave(coordinates: Sequence[int], bits_per_dim: Sequence[int
     """Per-bit interleave loop — the original implementation.
 
     Kept verbatim as the correctness oracle for :func:`interleave`; the
-    equivalence suite pins bit-identical results and the perf suite times
-    the two against each other.
+    equivalence suite pins bit-identical results and
+    ``tests/test_reference_speedups.py`` pins the table-driven speedup.
     """
     _validate(bits_per_dim)
     if len(coordinates) != len(bits_per_dim):

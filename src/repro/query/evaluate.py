@@ -241,15 +241,17 @@ def evaluate_join(
     combos = _expand_exact(query, aliases, columns)
     match_count = combos.shape[0]
 
-    # SELECT evaluation over the surviving combinations, vectorised.
+    # SELECT evaluation over the surviving combinations, vectorised.  Each
+    # index column is gathered from first and then overwritten in place by
+    # its node ids, so ``combos`` becomes the node-id matrix without a
+    # second (M, n) array.
     env: Dict[ColumnRef, np.ndarray] = {}
-    node_combos = np.zeros((match_count, len(aliases)), dtype=int)
     for position, alias in enumerate(aliases):
         indices = combos[:, position]
-        node_combos[:, position] = columns[alias].node_ids[indices]
         for attr, column in columns[alias].values.items():
             if (alias, attr) in select_refs:
                 env[(alias, attr)] = column[indices]
+        indices[:] = columns[alias].node_ids[indices]
 
     if query.is_aggregate:
         out_columns: Dict[str, np.ndarray] = {}
@@ -265,7 +267,7 @@ def evaluate_join(
                     return JoinResult(tuple(aliases), np.zeros((0, len(aliases))), {})
                 per_row = aggregate.operand.values(env) if match_count else np.array([])
                 out_columns[item.name] = np.array([aggregate.apply(per_row, match_count)])
-        return JoinResult(tuple(aliases), node_combos, out_columns)
+        return JoinResult(tuple(aliases), combos, out_columns)
 
     out_columns = {}
     for item in query.select:
@@ -273,7 +275,7 @@ def evaluate_join(
         if values.shape != (match_count,):  # a constant: one value per row
             values = np.broadcast_to(values, (match_count,)).astype(float)
         out_columns[item.name] = values
-    return JoinResult(tuple(aliases), node_combos, out_columns)
+    return JoinResult(tuple(aliases), combos, out_columns)
 
 
 @dataclass(frozen=True)

@@ -221,7 +221,8 @@ class Network:
 
         This is the seed implementation's dense pairwise build, kept (like
         the codec ``_reference_*`` twins) as the trusted oracle the property
-        tests compare the grid index against.  Never called on the hot path.
+        tests compare the grid index against, and as the baseline of
+        ``tests/test_reference_speedups.py``.  Never called on the hot path.
         """
         alive = [node for node in self.nodes.values() if node.alive]
         coords = np.array([[node.x, node.y] for node in alive])

@@ -6,6 +6,7 @@ from repro.bench.ascii_viz import (
     render_field,
     render_histogram,
     render_node_load,
+    render_sparkline,
     render_tree_depths,
 )
 
@@ -57,3 +58,11 @@ def test_missing_sensor_renders_empty(small_network):
     for node in small_network.nodes.values():
         node.readings = {}
     assert "(no nodes to draw)" in render_field(small_network, "temp")
+
+
+def test_render_sparkline_scales_min_to_max_and_shows_gaps():
+    nan = float("nan")
+    assert render_sparkline([0.0, 10.0, nan, 5.0], ramp="abc") == "ac b"
+    assert render_sparkline([2.0, 2.0], ramp="abc") == "aa"
+    assert render_sparkline([nan, nan], ramp="abc") == "  "
+    assert "nothing" in render_sparkline([])

@@ -1,12 +1,12 @@
 """Optimized codec kernels vs their pinned ``_reference_*`` twins.
 
-Every hot path rewritten for the perf suite keeps its original
-implementation in the same module; these sweeps pin the pair equivalent —
-byte-identical outputs on valid inputs and identical error messages on
-corrupt ones — across parameterized shape grids, hypothesis-driven random
-inputs, and the degenerate shapes the rewrites special-case (empty sets,
-zero-length bitstrings, single-dimension interleaves, maximum-depth
-quadtrees).
+Every optimized codec hot path keeps its original implementation in the
+same module (``tests/test_reference_speedups.py`` pins the speedup); these
+sweeps pin the pair equivalent — byte-identical outputs on valid inputs and
+identical error messages on corrupt ones — across parameterized shape grids,
+hypothesis-driven random inputs, and the degenerate shapes the rewrites
+special-case (empty sets, zero-length bitstrings, single-dimension
+interleaves, maximum-depth quadtrees).
 """
 
 import random

@@ -499,7 +499,7 @@ def test_run_until_already_processed_event_returns_immediately():
     assert env.now == 0.0
 
 
-# -- bucketed-queue semantics (the perf rewrite's behavioral contract) -------
+# -- bucketed-queue semantics (same-timestamp order, mid-drain scheduling) ---
 
 
 def test_zero_delay_events_scheduled_mid_drain_fire_in_same_pass():
